@@ -62,7 +62,7 @@ def schur_complement(t, d: int) -> np.ndarray:
     """W - Z X^{-1} Y for the block split [X Y; Z W]."""
     x, y, z, w = split_blocks(t, d)
     try:
-        x_inv_y = np.column_stack([matcore.solve(x, y[:, k]) for k in range(d)])
+        x_inv_y = matcore.solve(x, y)
     except matcore.SingularMatrixError as exc:
         raise SingularBlockError("top-left block is singular") from exc
     return w - z @ x_inv_y

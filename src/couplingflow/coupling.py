@@ -388,7 +388,7 @@ def log_det_jacobian(seq: LayerSequence, x: np.ndarray) -> float:
 
 
 def _arr(a):
-    return [float(x) for x in np.asarray(a).ravel()]
+    return np.asarray(a, dtype=np.float64).ravel().tolist()
 
 
 def layer_to_dict(layer) -> dict:

@@ -37,6 +37,7 @@ from couplingflow.metrics import relative_frobenius
 PERMUTATION_BUDGET = 21
 TRIANGULAR_BUDGET = 13
 TOTAL_BUDGET = 47
+RESIDUAL_WARN_RTOL = 1e-6  # decompose warns when its product misses the target by more
 
 
 @dataclass(frozen=True)
@@ -516,11 +517,11 @@ def triangular_layers(tri, side: str = LOWER) -> DecompositionResult:
     if np.max(np.abs(off)) != 0.0:
         if side == LOWER:
             c_blk = tri[d:, d:]
-            x = _triangular_solve(c_blk, off, lower=True)
+            x = matcore.triangular_solve(c_blk, off, lower=True)
             elim_layers = [LinearCouplingLayer(side=LOWER, dense=x, diag=ones.copy())]
         else:
             a_blk = tri[:d, :d]
-            x = _triangular_solve(a_blk, off, lower=False)
+            x = matcore.triangular_solve(a_blk, off, lower=False)
             elim_layers = [LinearCouplingLayer(side=UPPER, dense=x, diag=ones.copy())]
         g0 = tri.copy()
         if side == LOWER:
@@ -580,19 +581,6 @@ def triangular_layers(tri, side: str = LOWER) -> DecompositionResult:
                                stage_log=stage_log)
 
 
-def _triangular_solve(t, b, lower: bool) -> np.ndarray:
-    """Solve t @ x = b for triangular t by substitution."""
-    n = t.shape[0]
-    x = np.zeros_like(b, dtype=np.float64)
-    rng = range(n) if lower else range(n - 1, -1, -1)
-    for i in rng:
-        if lower:
-            x[i] = (b[i] - t[i, :i] @ x[:i]) / t[i, i]
-        else:
-            x[i] = (b[i] - t[i, i + 1 :] @ x[i + 1 :]) / t[i, i]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # full decomposition
 
@@ -650,6 +638,9 @@ def decompose(t) -> DecompositionResult:
         stage_log += [("upper", upper_res.matrix_count), ("lower", lower_res.matrix_count)]
 
     residual = relative_frobenius(as_matrix(seq), t)
+    if residual > RESIDUAL_WARN_RTOL:
+        warnings.append(f"relative residual {residual:.3g} exceeds {RESIDUAL_WARN_RTOL:g}: "
+                        "the layers reproduce the target only approximately")
     result = DecompositionResult(layers=seq, matrix_count=len(seq),
                                  residual=float(residual), stage_log=stage_log,
                                  warnings=warnings)

@@ -6,11 +6,14 @@ i.e. the matrix ``P`` with ``P[p[i], i] = 1`` sends basis vector ``e_i``
 to ``e_p[i]``.
 
 Everything here is a pure function; no state is shared between calls.
+The LU factorization and the triangular solves run in LAPACK (getrf,
+trtrs).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from couplingflow.errors import EigFailedError, EigGapTooSmallError, SingularMatrixError
 
@@ -137,33 +140,31 @@ class LupFactors:
 
 
 def lup(a) -> LupFactors:
-    """LU factorization with partial pivoting on the max-abs pivot.
+    """LU factorization with partial pivoting on the max-abs pivot (getrf).
 
     Raises SingularMatrixError when a pivot falls below
-    SINGULAR_RTOL * max|a|.
+    SINGULAR_RTOL * max|a|. getrf runs past tiny and zero pivots, so every
+    pivot is checked here.
     """
     a = as_matrix_array(a)
     n, m = a.shape
     if n != m:
         raise ValueError("lup requires a square matrix")
-    scale = np.max(np.abs(a)) if n else 0.0
-    tol = SINGULAR_RTOL * scale
-    u = a.copy()
-    perm = np.arange(n)
-    parity = 1
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(u[k:, k])))
-        if np.abs(u[piv, k]) <= tol:
-            raise SingularMatrixError(f"pivot {k} below tolerance {tol:g}")
-        if piv != k:
-            u[[k, piv]] = u[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-            parity = -parity
-        u[k + 1 :, k] /= u[k, k]
-        u[k + 1 :, k + 1 :] -= np.outer(u[k + 1 :, k], u[k, k + 1 :])
-    lower = np.tril(u, -1) + np.eye(n)
-    upper = np.triu(u)
-    return LupFactors(lower=lower, upper=upper, perm=perm, parity=parity)
+    if n == 0:  # getrf rejects an empty matrix
+        return LupFactors(lower=np.eye(0), upper=np.eye(0), perm=np.arange(0), parity=1)
+    tol = SINGULAR_RTOL * np.max(np.abs(a))
+    lu, piv, _ = lapack.dgetrf(a)
+    bad = np.flatnonzero(~(np.abs(np.diag(lu)) > tol))  # a NaN pivot is singular too
+    if bad.size:
+        raise SingularMatrixError(f"pivot {bad[0]} below tolerance {tol:g}")
+    # getrf reports row interchanges: row k was swapped with row piv[k]
+    perm = list(range(n))
+    for k, p in enumerate(piv.tolist()):
+        perm[k], perm[p] = perm[p], perm[k]
+    parity = -1 if np.count_nonzero(piv != np.arange(n)) % 2 else 1
+    lower = np.tril(lu, -1) + np.eye(n)
+    upper = np.triu(lu)
+    return LupFactors(lower=lower, upper=upper, perm=np.array(perm), parity=parity)
 
 
 def det(a) -> float:
@@ -187,17 +188,12 @@ def slogdet(a):
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve a @ x = b through the LUP factors."""
+    """Solve a @ x = b for a vector or a matrix of right-hand sides: one LUP
+    factorization, then two triangular solves."""
     f = lup(a)
-    rhs = np.asarray(b, dtype=np.float64)
-    pb = rhs[f.perm]
-    n = f.lower.shape[0]
-    y = np.zeros_like(pb)
-    for i in range(n):
-        y[i] = pb[i] - f.lower[i, :i] @ y[:i]
-    x = np.zeros_like(pb)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - f.upper[i, i + 1 :] @ x[i + 1 :]) / f.upper[i, i]
+    pb = np.asarray(b, dtype=np.float64)[f.perm]
+    y, _ = lapack.dtrtrs(f.lower, pb, lower=1, unitdiag=1)
+    x, _ = lapack.dtrtrs(f.upper, y)
     return x
 
 
@@ -206,22 +202,21 @@ def inv(a) -> np.ndarray:
     return solve(a, np.eye(n))
 
 
-def triangular_inverse(t, lower: bool = True) -> np.ndarray:
-    """Inverse of a triangular matrix by substitution (columns vectorized)."""
+def triangular_solve(t, b, lower: bool = True) -> np.ndarray:
+    """Solve t @ x = b for triangular t; only the ``lower`` (or upper)
+    triangle of t is read. Raises SingularMatrixError when a diagonal entry
+    falls below SINGULAR_RTOL * max|t|."""
     t = as_matrix_array(t)
-    n = t.shape[0]
-    d = np.diag(t)
-    if np.any(np.abs(d) <= SINGULAR_RTOL * np.max(np.abs(t))):
+    if np.any(np.abs(np.diag(t)) <= SINGULAR_RTOL * np.max(np.abs(t))):
         raise SingularMatrixError("triangular matrix singular to tolerance")
-    x = np.zeros((n, n))
-    rng = range(n) if lower else range(n - 1, -1, -1)
-    eye = np.eye(n)
-    for i in rng:
-        if lower:
-            x[i] = (eye[i] - t[i, :i] @ x[:i]) / d[i]
-        else:
-            x[i] = (eye[i] - t[i, i + 1 :] @ x[i + 1 :]) / d[i]
+    x, _ = lapack.dtrtrs(t, np.asarray(b, dtype=np.float64), lower=int(lower))
     return x
+
+
+def triangular_inverse(t, lower: bool = True) -> np.ndarray:
+    """Inverse of a triangular matrix (see triangular_solve)."""
+    t = as_matrix_array(t)
+    return triangular_solve(t, np.eye(t.shape[0]), lower=lower)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +276,8 @@ def triangular_eigvecs(a, min_gap: float = 1e-8, upper: bool = False) -> np.ndar
 
     For lower-triangular ``a`` with diagonal entries pairwise at least
     ``min_gap`` apart, returns V with unit diagonal such that
-    a @ V = V @ diag(a_00, ..., a_nn), computed column by column through
-    back-substitution on (a - a_ii I) v = 0.
+    a @ V = V @ diag(a_00, ..., a_nn), computed column by column with one
+    triangular solve of (a - a_ii I) v = 0 per column.
 
     ``upper=True`` accepts an upper-triangular input (handled by index
     reversal, which turns it lower-triangular).
@@ -304,11 +299,12 @@ def triangular_eigvecs(a, min_gap: float = 1e-8, upper: bool = False) -> np.ndar
         gap = float(np.min(diffs))
         if gap < min_gap:
             raise EigGapTooSmallError(f"diagonal gap {gap:g} below {min_gap:g}")
-    v = np.zeros((n, n))
-    for i in range(n):
-        v[i, i] = 1.0
-        for j in range(i + 1, n):
-            v[j, i] = -(a[j, i:j] @ v[i:j, i]) / (d[j] - d[i])
+    v = np.eye(n)
+    for i in range(n - 1):
+        # rows below i of (a - d_i I) v = 0 with v_i = 1; the shifted
+        # diagonal d_j - d_i is at least the checked gap away from zero
+        shifted = a[i + 1 :, i + 1 :] - d[i] * np.eye(n - i - 1)
+        v[i + 1 :, i], _ = lapack.dtrtrs(shifted, -a[i + 1 :, i], lower=1)
     return v
 
 

@@ -119,6 +119,22 @@ def test_certify_hard_instances():
         assert np.min(np.abs(np.abs(result.schur_spectrum.imag) - np.sin(2 * np.pi / d))) <= 1e-8
 
 
+def test_certify_factors_each_block_once(monkeypatch):
+    # one factorization of X for all d columns of Y, one of W for its inverse
+    lup = mc.lup
+    calls = []
+
+    def counting_lup(a):
+        calls.append(np.shape(a))
+        return lup(a)
+
+    monkeypatch.setattr(mc, "lup", counting_lup)
+    d = 12
+    result = cert.certify_not_a4(cert.hard_instance(d, np.arange(1.0, d + 1.0)), d)
+    assert result.verdict == cert.NOT_IN_A4
+    assert len(calls) <= 2
+
+
 def test_certify_diagonal_both_blocks_inconclusive():
     t = np.zeros((8, 8))
     t[:4, :4] = np.diag([1.0, 2.0, 3.0, 4.0])

@@ -224,6 +224,35 @@ def test_sequence_json_roundtrip_exact():
                               b.dense if hasattr(b, "dense") else b.scale)
 
 
+def test_sequence_json_text_pinned():
+    # the wire format: row-major float64 values, each in its shortest repr,
+    # whatever the memory order or integer dtype of the stored array
+    s_net = cp.Mlp(weights=[np.array([[0.5], [-1.25], [1e-300]]), np.array([[0.1, -0.0, 3.0]])],
+                   biases=[np.array([2.5e-8]), np.array([1 / 3, 0.0, -2.0])], activation="tanh",
+                   output_transform="exptanh")
+    t_net = cp.Mlp(weights=[np.array([[2.0], [7e22], [-4.0]]), np.array([[1.0, 0.3, 0.2]])],
+                   biases=[np.zeros(1), np.array([-0.7, 5.0, 6.0])])
+    seq = cp.sequence([
+        cp.LinearCouplingLayer(side=cp.LOWER, dense=np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).T,
+                               diag=np.array([0.1, 1.0, 123456789.125])),
+        cp.ActNormLayer(scale=np.array([1.5, -0.25, 1e-5, 2.0, -3.0, np.pi])),
+        cp.NonlinearCouplingLayer(side=cp.UPPER, s_net=s_net, t_net=t_net),
+    ])
+    assert cp.sequence_to_json(seq) == (
+        '{"ambient_dim": 6, "layers": ['
+        '{"kind": "linear", "side": "lower", "dim_half": 3, '
+        '"dense": [1.0, 4.0, 7.0, 2.0, 5.0, 8.0, 3.0, 6.0, 9.0], '
+        '"diag": [0.1, 1.0, 123456789.125]}, '
+        '{"kind": "actnorm", "scale": [1.5, -0.25, 1e-05, 2.0, -3.0, 3.141592653589793]}, '
+        '{"kind": "nonlinear", "side": "upper", '
+        '"s_net": {"widths": [3, 1, 3], "activation": "tanh", "output_transform": "exptanh", '
+        '"weights": [[0.5, -1.25, 1e-300], [0.1, -0.0, 3.0]], '
+        '"biases": [[2.5e-08], [0.3333333333333333, 0.0, -2.0]]}, '
+        '"t_net": {"widths": [3, 1, 3], "activation": "relu", "output_transform": "identity", '
+        '"weights": [[2.0, 7e+22, -4.0], [1.0, 0.3, 0.2]], '
+        '"biases": [[0.0], [-0.7, 5.0, 6.0]]}}]}')
+
+
 def test_layer_invariants_enforced():
     with pytest.raises(ValueError):
         cp.LinearCouplingLayer(side=cp.LOWER, dense=np.zeros((2, 2)),

@@ -360,6 +360,20 @@ def test_decompose_rejects_singular():
         dc.decompose(t)
 
 
+def test_decompose_warns_on_lost_accuracy():
+    rng = np.random.default_rng(128)
+    res = dc.decompose(random_positive_det(rng, 128, max_cond=1e4))
+    assert res.residual > dc.RESIDUAL_WARN_RTOL
+    assert any("residual" in w for w in res.warnings)
+
+
+def test_decompose_no_warning_when_accurate():
+    rng = np.random.default_rng(16)
+    res = dc.decompose(random_positive_det(rng, 16, max_cond=1e4))
+    assert res.residual <= dc.RESIDUAL_WARN_RTOL
+    assert res.warnings == []
+
+
 def test_verify_exact_and_closed_form():
     rng = np.random.default_rng(7)
     t = random_positive_det(rng, 4)

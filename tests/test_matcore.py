@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,26 @@ def test_lup_singular():
         mc.lup(a)
 
 
+def test_singular_tolerance_contract():
+    # a pivot at or below SINGULAR_RTOL * max|a| is singular; one above it is not
+    kernels = [mc.lup, lambda a: mc.solve(a, np.ones(2)), mc.inv, mc.triangular_inverse]
+    for kernel in kernels:
+        with pytest.raises(SingularMatrixError):
+            kernel(np.diag([1.0, 1e-13]))
+        kernel(np.diag([1.0, 1e-11]))
+
+
+def test_exactly_singular_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (mc.lup, lambda a: mc.solve(a, np.ones(3)), mc.inv):
+            with pytest.raises(SingularMatrixError):
+                kernel(np.ones((3, 3)))
+        # np.ones is unit lower triangular, so zero a diagonal entry instead
+        with pytest.raises(SingularMatrixError):
+            mc.triangular_inverse(np.tril(np.ones((3, 3))) - np.diag([0.0, 1.0, 0.0]))
+
+
 def test_det_parity_matches_sign():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -121,6 +143,8 @@ def test_solve_roundtrip():
     b = rng.standard_normal(7)
     x = mc.solve(a, b)
     assert np.allclose(a @ x, b, atol=1e-9)
+    bm = rng.standard_normal((7, 3))
+    assert np.allclose(a @ mc.solve(a, bm), bm, atol=1e-9)
     assert np.allclose(a @ mc.inv(a), np.eye(7), atol=1e-9)
 
 
