@@ -158,9 +158,9 @@ class LinearCouplingLayer:
         d = self.dense.shape[0]
         if self.dense.shape != (d, d) or self.diag.shape != (d,):
             raise ValueError("block shape mismatch")
-        if np.any(self.diag <= 0.0):
+        if (self.diag <= 0.0).any():
             raise ValueError("diagonal block must be strictly positive")
-        if not (np.all(np.isfinite(self.dense)) and np.all(np.isfinite(self.diag))):
+        if not (np.isfinite(self.dense).all() and np.isfinite(self.diag).all()):
             raise ValueError("non-finite layer entries")
 
     @property
@@ -333,7 +333,16 @@ def as_matrix(seq) -> np.ndarray:
         return layer_matrix(seq)
     m = np.eye(seq.ambient_dim)
     for layer in seq.layers:
-        m = layer_matrix(layer) @ m
+        # left-multiply by the layer matrix, touching only the rows it changes
+        if isinstance(layer, ActNormLayer):
+            m *= layer.scale[:, None]
+            continue
+        if isinstance(layer, NonlinearCouplingLayer):
+            raise NonlinearLayerPresentError("nonlinear layer has no fixed matrix")
+        d = layer.dense.shape[0]
+        src, dst = (m[:d], m[d:]) if layer.side == LOWER else (m[d:], m[:d])
+        dst *= layer.diag[:, None]
+        dst += layer.dense @ src
     return m
 
 
