@@ -158,9 +158,9 @@ class LinearCouplingLayer:
         d = self.dense.shape[0]
         if self.dense.shape != (d, d) or self.diag.shape != (d,):
             raise ValueError("block shape mismatch")
-        if (self.diag <= 0.0).any():
+        if np.any(self.diag <= 0.0):
             raise ValueError("diagonal block must be strictly positive")
-        if not (np.isfinite(self.dense).all() and np.isfinite(self.diag).all()):
+        if not (np.all(np.isfinite(self.dense)) and np.all(np.isfinite(self.diag))):
             raise ValueError("non-finite layer entries")
 
     @property
@@ -306,20 +306,24 @@ def invert(seq: LayerSequence, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def layer_matrix(layer) -> np.ndarray:
-    """Dense matrix of a single linear layer."""
+def _left_multiply(layer, m: np.ndarray) -> None:
+    """Overwrite m with (matrix of layer) @ m, touching only the rows the
+    layer changes."""
     if isinstance(layer, ActNormLayer):
-        return np.diag(layer.scale)
+        m *= layer.scale[:, None]
+        return
     if isinstance(layer, NonlinearCouplingLayer):
         raise NonlinearLayerPresentError("nonlinear layer has no fixed matrix")
     d = layer.dense.shape[0]
-    m = np.eye(2 * d)
-    if layer.side == LOWER:
-        m[d:, :d] = layer.dense
-        m[d:, d:] = np.diag(layer.diag)
-    else:
-        m[:d, :d] = np.diag(layer.diag)
-        m[:d, d:] = layer.dense
+    src, dst = (m[:d], m[d:]) if layer.side == LOWER else (m[d:], m[:d])
+    dst *= layer.diag[:, None]
+    dst += layer.dense @ src
+
+
+def layer_matrix(layer) -> np.ndarray:
+    """Dense matrix of a single linear layer."""
+    m = np.eye(layer.ambient_dim)
+    _left_multiply(layer, m)
     return m
 
 
@@ -333,16 +337,7 @@ def as_matrix(seq) -> np.ndarray:
         return layer_matrix(seq)
     m = np.eye(seq.ambient_dim)
     for layer in seq.layers:
-        # left-multiply by the layer matrix, touching only the rows it changes
-        if isinstance(layer, ActNormLayer):
-            m *= layer.scale[:, None]
-            continue
-        if isinstance(layer, NonlinearCouplingLayer):
-            raise NonlinearLayerPresentError("nonlinear layer has no fixed matrix")
-        d = layer.dense.shape[0]
-        src, dst = (m[:d], m[d:]) if layer.side == LOWER else (m[d:], m[:d])
-        dst *= layer.diag[:, None]
-        dst += layer.dense @ src
+        _left_multiply(layer, m)
     return m
 
 

@@ -205,7 +205,7 @@ def triangular_solve(t, b, lower: bool = True) -> np.ndarray:
     triangle of t is read. Raises SingularMatrixError when a diagonal entry
     falls below SINGULAR_RTOL * max|t|."""
     t = as_matrix_array(t)
-    if np.any(np.abs(np.diag(t)) <= SINGULAR_RTOL * np.max(np.abs(t))):
+    if np.any(np.abs(np.diag(t)) <= SINGULAR_RTOL * np.max(np.abs(t), initial=0.0)):
         raise SingularMatrixError("triangular matrix singular to tolerance")
     return _trsm(t, np.asarray(b, dtype=np.float64), lower=lower)
 
@@ -217,7 +217,7 @@ def _trsm(t, b, lower: bool, unit_diagonal: bool = False) -> np.ndarray:
     trtrs even on small systems, which made it 10x slower than trsm on
     16 x 16 blocks on a 2-core machine, so trsm is called directly.
     """
-    x = blas.dtrsm(1.0, t, b.reshape(b.shape[0], -1), lower=int(lower),
+    x = blas.dtrsm(1.0, t, b[:, None] if b.ndim == 1 else b, lower=int(lower),
                    diag=int(unit_diagonal))
     return x.reshape(b.shape)
 

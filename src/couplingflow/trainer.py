@@ -19,7 +19,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from couplingflow import coupling, matcore
 from couplingflow.coupling import Mlp, mlp_backward, mlp_forward, mlp_init
@@ -153,16 +152,12 @@ class PlnModel:
                 layer[name] = self.params[off : off + size].reshape(shape)
                 glayer[name] = self.grad[off : off + size].reshape(shape)
                 off += size
-            for name, size in (("logcb", d), ("loge", d)):
+            for name, size in (("logb", h), ("logc", h), ("loge", d)):
                 start = dense_size + log_off
                 layer[name] = self.params[start : start + size]
                 glayer[name] = self.grad[start : start + size]
                 layer["exp" + name[3:]] = self._exp_buf[log_off : log_off + size]
                 log_off += size
-            # c scales the first half and b the second, as in (c * x1 | b * x2)
-            for view in (layer, glayer):
-                view["logc"], view["logb"] = view["logcb"][:h], view["logcb"][h:]
-            layer["expc"], layer["expb"] = layer["expcb"][:h], layer["expcb"][h:]
             self.views.append(layer)
             self.grad_views.append(glayer)
         rng = stream(seed, "pln-init", d, n_layers)
@@ -181,13 +176,14 @@ class PlnModel:
         x = z
         caches = []
         for layer in self.views:
-            x1 = x[:, :h]
-            scaled = x * layer["expcb"]  # (c * x1 | b * x2)
-            u2 = scaled[:, h:] + x1 @ layer["A"].T
-            v1 = scaled[:, :h] + u2 @ layer["D"].T
-            vu = np.concatenate((v1, u2), axis=1)
-            caches.append((x, vu))
-            x = vu * layer["expe"]
+            x1, x2 = x[:, :h], x[:, h:]
+            u2 = x2 * layer["expb"] + x1 @ layer["A"].T
+            v1 = x1 * layer["expc"] + u2 @ layer["D"].T
+            out = np.empty_like(x)
+            np.multiply(v1, layer["expe"][:h], out=out[:, :h])
+            np.multiply(u2, layer["expe"][h:], out=out[:, h:])
+            caches.append((x, u2, v1))
+            x = out
         return x, caches
 
     def backward(self, dout: np.ndarray, caches, logdet_coeff: float = 0.0):
@@ -198,22 +194,26 @@ class PlnModel:
         under the log parameterization.
         """
         h = self.h
-        for layer, glayer, (x, vu) in zip(reversed(self.views), reversed(self.grad_views),
-                                          reversed(caches)):
-            x1 = x[:, :h]
+        for layer, glayer, cache in zip(reversed(self.views), reversed(self.grad_views),
+                                        reversed(caches)):
+            x, u2, v1 = cache
+            x1, x2 = x[:, :h], x[:, h:]
             # actnorm: out = (v1 | u2) * e
-            dvu = dout * layer["expe"]
-            np.einsum("bj,bj->j", dvu, vu, out=glayer["loge"])
-            dv1, du2 = dvu[:, :h], dvu[:, h:]
+            dv1 = dout[:, :h] * layer["expe"][:h]
+            du2 = dout[:, h:] * layer["expe"][h:]
+            glayer["loge"][:h] = np.einsum("bj,bj->j", dv1, v1)
+            glayer["loge"][h:] = np.einsum("bj,bj->j", du2, u2)
             # upper: v1 = c * x1 + u2 @ D.T
-            np.matmul(dv1.T, vu[:, h:], out=glayer["D"])
+            glayer["D"][:] = dv1.T @ u2
+            np.multiply(np.einsum("bj,bj->j", dv1, x1), layer["expc"], out=glayer["logc"])
+            dx1 = dv1 * layer["expc"]
             du2 += dv1 @ layer["D"]
             # lower: u2 = b * x2 + x1 @ A.T
-            np.matmul(du2.T, x1, out=glayer["A"])
-            # dvu now holds (dv1 | du2), the gradients at (c * x1 | b * x2)
-            np.multiply(np.einsum("bj,bj->j", dvu, x), layer["expcb"], out=glayer["logcb"])
-            dout = dvu * layer["expcb"]
-            dout[:, :h] += du2 @ layer["A"]
+            glayer["A"][:] = du2.T @ x1
+            np.multiply(np.einsum("bj,bj->j", du2, x2), layer["expb"], out=glayer["logb"])
+            dout = np.empty_like(x)
+            np.add(dx1, du2 @ layer["A"], out=dout[:, :h])
+            np.multiply(du2, layer["expb"], out=dout[:, h:])
         if logdet_coeff != 0.0:
             self.grad[self._log_offset :] += logdet_coeff
         return dout
@@ -296,12 +296,9 @@ def train_pln(config: TrainConfig, d: int, n_layers: int, seed: int,
     for step in range(config.steps):
         z = batches.standard_normal((config.batch_size, d))
         # the batch loss and its gradient depend on z only through z^T z, so
-        # the stack runs on the d rows of its Cholesky factor r (r^T r = z^T z)
-        # instead of on all of z; a batch with fewer than d independent rows
-        # has no such factor and runs as it is
-        r, info = lapack.dpotrf(z.T @ z)
-        if info == 0:
-            z = r
+        # the stack runs on the at most d rows of the QR factor r of z
+        # (r^T r = z^T z) instead of on all of z
+        z = np.linalg.qr(z, mode="r")
         out, caches = model.forward(z)
         resid = out - z @ target.T
         loss = float(np.sum(resid * resid)) / (config.batch_size * d)

@@ -97,6 +97,13 @@ def test_as_matrix_block_structure():
     expect[2:, :2] = a
     expect[2:, 2:] = np.diag(b)
     assert np.array_equal(m, expect)
+    m = cp.as_matrix(cp.LinearCouplingLayer(side=cp.UPPER, dense=a, diag=b))
+    expect = np.eye(4)
+    expect[:2, :2] = np.diag(b)
+    expect[:2, 2:] = a
+    assert np.array_equal(m, expect)
+    assert np.array_equal(cp.as_matrix(cp.ActNormLayer(scale=np.array([2.0, 3, 4, 5]))),
+                          np.diag([2.0, 3, 4, 5]))
 
 
 def test_as_matrix_empty_sequence():

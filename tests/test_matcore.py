@@ -148,6 +148,15 @@ def test_solve_roundtrip():
     assert np.allclose(a @ mc.inv(a), np.eye(7), atol=1e-9)
 
 
+def test_empty_matrix_kernels():
+    empty = np.eye(0)
+    assert mc.solve(empty, np.zeros(0)).shape == (0,)
+    assert mc.solve(empty, np.zeros((0, 3))).shape == (0, 3)
+    assert mc.inv(empty).shape == (0, 0)
+    assert mc.triangular_inverse(empty).shape == (0, 0)
+    assert mc.det(empty) == 1.0
+
+
 def test_triangular_inverse():
     rng = np.random.default_rng(7)
     t = np.tril(rng.standard_normal((6, 6))) + 3 * np.eye(6)
