@@ -6,8 +6,8 @@ i.e. the matrix ``P`` with ``P[p[i], i] = 1`` sends basis vector ``e_i``
 to ``e_p[i]``.
 
 Everything here is a pure function; no state is shared between calls.
-The LU factorization runs in LAPACK (getrf) and the triangular solves in
-BLAS (trsm).
+The LU factorization, eigenvalues and singular values run in LAPACK
+(getrf, geev, gesdd) and the triangular solves in BLAS (trsm).
 """
 
 from dataclasses import dataclass
@@ -236,8 +236,9 @@ def eig(a) -> np.ndarray:
     """Eigenvalues of a real square matrix, as a complex array sorted by
     (real, imag).
 
-    Backed by LAPACK's Hessenberg-reduction + shifted-QR driver. Conjugate
-    pairing of complex eigenvalues is enforced on output.
+    Backed by LAPACK's Hessenberg-reduction + shifted-QR driver (geev),
+    which returns each complex conjugate pair exactly: equal real parts and
+    negated imaginary parts, bit for bit.
     """
     a = as_matrix_array(a)
     n = a.shape[0]
@@ -249,31 +250,7 @@ def eig(a) -> np.ndarray:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigFailedError(str(exc)) from exc
-    # pair conjugates exactly: sort, then average imaginary magnitudes
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    out = vals.copy()
-    used = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if used[i] or abs(vals[i].imag) == 0.0:
-            continue
-        # nearest unused conjugate partner
-        best, best_d = -1, np.inf
-        for j in range(n):
-            if j == i or used[j]:
-                continue
-            d = abs(vals[j] - vals[i].conjugate())
-            if d < best_d:
-                best, best_d = j, d
-        if best >= 0:
-            re = 0.5 * (vals[i].real + vals[best].real)
-            im = 0.5 * (abs(vals[i].imag) + abs(vals[best].imag))
-            s = 1.0 if vals[i].imag > 0 else -1.0
-            out[i] = complex(re, s * im)
-            out[best] = complex(re, -s * im)
-            used[i] = used[best] = True
-    order = np.lexsort((out.imag, out.real))
-    return out[order]
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def spectral_radius(spectrum: np.ndarray) -> float:
@@ -322,45 +299,18 @@ def triangular_eigvecs(a, min_gap: float = 1e-8, upper: bool = False) -> np.ndar
 
 
 def svd_small(a) -> np.ndarray:
-    """Singular values of a small matrix, descending, via one-sided Jacobi.
-
-    Columns of a working copy are rotated pairwise until the Gram matrix is
-    diagonal to relative tolerance; singular values are the column norms.
-    """
+    """Singular values of a small matrix, descending, from LAPACK (gesdd)."""
     a = as_matrix_array(a)
     if max(a.shape) > SVD_MAX_DIM:
         raise ValueError(f"svd_small supports n <= {SVD_MAX_DIM}")
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    w = a.copy()
-    n = w.shape[1]
-    tol = 1e-15
-    for _ in range(60):  # sweeps; converges much earlier in practice
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                alpha = w[:, i] @ w[:, i]
-                beta = w[:, j] @ w[:, j]
-                gamma = w[:, i] @ w[:, j]
-                if abs(gamma) <= tol * np.sqrt(alpha * beta) or gamma == 0.0:
-                    continue
-                off = max(off, abs(gamma))
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                wi = w[:, i].copy()
-                w[:, i] = c * wi - s * w[:, j]
-                w[:, j] = s * wi + c * w[:, j]
-        if off == 0.0:
-            break
-    sv = np.sqrt(np.sum(w * w, axis=0))
-    return np.sort(sv)[::-1]
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def condition_number(a) -> float:
-    """sigma_max / sigma_min from svd_small; +inf when the matrix is rank
-    deficient (including the all-zero matrix)."""
+    """sigma_max / sigma_min from svd_small; +inf only when sigma_min is
+    exactly 0 (the all-zero matrix, for one). A rank-deficient nonzero
+    matrix usually gets a rounding-level sigma_min, about 1e-17 relative,
+    and so a finite condition number near 1e16 or above."""
     sv = svd_small(a)
     if sv[-1] == 0.0:
         return np.inf

@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from couplingflow.errors import RetryBudgetExhaustedError
-from couplingflow.gauss import norm_ppf
 from couplingflow.rng import stream
 
 RETRY_FACTOR = 100  # draw budget multiplier for the rejection samplers
@@ -243,9 +243,9 @@ def build_selector_net(mixture: MixtureSpec, delta: float) -> SelectorNet:
         raise ValueError("delta must lie in (0, 1/k)")
     qs = np.arange(1, k) / k
     half = delta / (2.0 * (k - 1))
-    thresholds = norm_ppf(qs)
-    zone_lo = norm_ppf(qs - half)
-    zone_hi = norm_ppf(qs + half)
+    thresholds = ndtri(qs)
+    zone_lo = ndtri(qs - half)
+    zone_hi = ndtri(qs + half)
     return SelectorNet(mixture=mixture, thresholds=thresholds, zone_lo=zone_lo,
                        zone_hi=zone_hi, delta=float(delta),
                        big_m=mean_radius(mixture.gamma, mixture.dim))

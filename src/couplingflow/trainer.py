@@ -487,24 +487,7 @@ def dataset_sample(kind: str, n: int, seed: int) -> np.ndarray:
     """Deterministic 2-D samples for the named synthetic dataset."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = stream(seed, "dataset", kind)
-    if kind == "four_gaussians":
-        comp = rng.integers(0, 4, size=n)
-        centers = np.array([[2.0, 2.0], [2.0, -2.0], [-2.0, 2.0], [-2.0, -2.0]])
-        return centers[comp] + 0.3 * rng.standard_normal((n, 2))
-    if kind == "swissroll":
-        t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
-        pts = np.stack([t * np.cos(t), t * np.sin(t)], axis=1)
-        return pts / 7.5 + 0.02 * rng.standard_normal((n, 2))
-    if kind == "two_moons":
-        raw = two_moons_raw(n, rng)
-        return (raw - np.array([0.5, 0.25])) / 0.9
-    if kind == "checkerboard":
-        x1 = rng.uniform(-2.0, 2.0, size=n)
-        x2 = rng.uniform(0.0, 1.0, size=n) - rng.integers(0, 2, size=n) * 2.0
-        x2 = x2 + np.floor(x1) % 2
-        return np.stack([x1, x2], axis=1) / 2.0
-    raise ValueError(f"unknown dataset {kind!r}")
+    return _dataset_batch(kind, n, stream(seed, "dataset", kind))
 
 
 def two_moons_raw(n: int, rng) -> np.ndarray:
@@ -537,7 +520,6 @@ def _padded_batch(kind: str, padding: str, batch_size: int, rng) -> np.ndarray:
 
 
 def _dataset_batch(kind: str, batch_size: int, rng) -> np.ndarray:
-    # same parametric families as dataset_sample, driven by a live stream
     if kind == "gaussian":
         return rng.standard_normal((batch_size, 2))
     if kind == "four_gaussians":

@@ -21,9 +21,9 @@ and not part of the artifact.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from couplingflow import matcore
-from couplingflow.gauss import norm_cdf, norm_ppf
 from couplingflow.rng import stream
 
 
@@ -60,10 +60,6 @@ class AffineTransport:
         return (np.asarray(y, dtype=np.float64) - self.shift) @ matcore.inv(self.linear).T
 
 
-def _interp_strict(xq, xs, ys):
-    return np.interp(xq, xs, ys)
-
-
 @dataclass(frozen=True)
 class QuantileTransport:
     """Coordinatewise x_k -> F_k^{-1}(Phi(x_k)) for tabulated target CDFs.
@@ -82,9 +78,9 @@ class QuantileTransport:
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.empty_like(x)
-        p = norm_cdf(x)
+        p = ndtr(x)
         for k, (vals, cdf) in enumerate(self.tables):
-            out[:, k] = _interp_strict(p[:, k], cdf, vals)
+            out[:, k] = np.interp(p[:, k], cdf, vals)
         return out[0] if single else out
 
     def inverse(self, y):
@@ -92,8 +88,8 @@ class QuantileTransport:
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         out = np.empty_like(y)
         for k, (vals, cdf) in enumerate(self.tables):
-            p = np.clip(_interp_strict(y[:, k], vals, cdf), 1e-15, 1.0 - 1e-15)
-            out[:, k] = norm_ppf(p)
+            p = np.clip(np.interp(y[:, k], vals, cdf), 1e-15, 1.0 - 1e-15)
+            out[:, k] = ndtri(p)
         return out[0] if single else out
 
 

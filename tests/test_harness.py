@@ -176,9 +176,9 @@ def test_train_mle_cli_smoke(tmp_path):
 
 
 def test_universal_quantile_target_cli(tmp_path):
-    from couplingflow.gauss import norm_cdf
+    from scipy.special import ndtr
     vals = np.linspace(-5.0, 5.0, 801)
-    tables = [{"values": list(vals), "cdf": list(norm_cdf(vals))} for _ in range(2)]
+    tables = [{"values": list(vals), "cdf": list(ndtr(vals))} for _ in range(2)]
     target_path = tmp_path / "target.json"
     target_path.write_text(json.dumps(tables))
     outdir = tmp_path / "out"

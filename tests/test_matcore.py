@@ -222,9 +222,8 @@ def test_eig_trace_consistency_and_conjugate_pairs():
         vals = mc.eig(a)
         assert abs(np.sum(vals).imag) <= 1e-9 * max(1.0, mc.spectral_radius(vals))
         assert abs(np.sum(vals).real - np.trace(a)) <= 1e-8 * max(1.0, abs(np.trace(a)))
-        # conjugate closure: the multiset equals its own conjugate
-        conj = np.sort_complex(vals.conj())
-        assert np.max(np.abs(np.sort_complex(vals) - conj)) <= 1e-12 * max(1.0, mc.spectral_radius(vals))
+        # conjugate closure: the multiset equals its own conjugate, exactly
+        assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
 
 
 def test_eig_size_guard():
@@ -287,12 +286,21 @@ def test_svd_diagonal():
     sv = mc.svd_small(np.diag([3.0, 0.5]))
     assert np.allclose(sv, [3.0, 0.5])
     assert abs(mc.condition_number(np.diag([3.0, 0.5])) - 6.0) <= 1e-12
+    # equal column norms: the singular values still separate
+    sym = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert np.allclose(mc.svd_small(sym), [3.0, 1.0], rtol=1e-12)
+    assert abs(mc.condition_number(sym) - 3.0) <= 1e-12
 
 
 def test_svd_zero_matrix():
     sv = mc.svd_small(np.zeros((3, 3)))
     assert np.array_equal(sv, np.zeros(3))
     assert mc.condition_number(np.zeros((3, 3))) == np.inf
+    # rank deficient but nonzero: sigma_min is zero up to rounding
+    ones = np.ones((2, 2))
+    sv = mc.svd_small(ones)
+    assert abs(sv[0] - 2.0) <= 1e-12 and abs(sv[1]) <= 1e-12
+    assert mc.condition_number(ones) >= 1e15
 
 
 def test_svd_against_gram_eigenvalues():
