@@ -40,24 +40,6 @@ TOTAL_BUDGET = 47
 RESIDUAL_WARN_RTOL = 1e-6  # decompose warns when its product misses the target by more
 
 
-@dataclass(frozen=True)
-class SignedPermutationPlan:
-    """A permutation realized up to signs by coupling layers.
-
-    ``sign_vector[i]`` is the sign the product attaches to coordinate i on
-    its way to position target[i]; the product matrix agrees entrywise in
-    absolute value with the permutation matrix of ``target``.
-    """
-
-    target: np.ndarray
-    layers: LayerSequence
-    sign_vector: np.ndarray
-
-    @property
-    def layer_budget(self):
-        return PERMUTATION_BUDGET
-
-
 @dataclass
 class DecompositionResult:
     layers: LayerSequence
@@ -233,15 +215,6 @@ def permutation_layers(p) -> LayerSequence:
     seq = sequence(layers, ambient_dim=n)
     assert len(seq) <= PERMUTATION_BUDGET
     return seq
-
-
-def permutation_plan(p) -> SignedPermutationPlan:
-    """permutation_layers plus the achieved per-coordinate signs."""
-    p = matcore.check_permutation(p)
-    seq = permutation_layers(p)
-    m = as_matrix(seq)
-    signs = m[p, np.arange(p.shape[0])]
-    return SignedPermutationPlan(target=p, layers=seq, sign_vector=signs)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +587,7 @@ def decompose(t) -> DecompositionResult:
     pi_right = matcore.invert_permutation(f.perm)
 
     perm_seq = permutation_layers(pi_right)
-    p_tilde = as_matrix(perm_seq) if len(perm_seq) else np.eye(n)
+    p_tilde = as_matrix(perm_seq)
 
     remainder = t @ p_tilde.T
     stage_log = [("permutation", len(perm_seq))]

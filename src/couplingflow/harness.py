@@ -354,8 +354,10 @@ def _run_separation(params, seed, outdir, manifest):
 
 
 def _run_train_pln(params, seed, outdir, manifest):
+    if params["seeds"] < 1:
+        raise ConfigError("seeds must be positive")
     config = trainer.TrainConfig(lr=params["lr"], steps=params["steps"],
-                                 batch_size=params["batch_size"], seeds=params["seeds"],
+                                 batch_size=params["batch_size"],
                                  target_kind=params["target"] + "_matrix")
     layer_counts = [int(x) for x in params["layers"].split(",")]
     texts = []
@@ -381,7 +383,7 @@ def _run_train_pln(params, seed, outdir, manifest):
 
 def _run_train_reg(params, seed, outdir, manifest):
     config = trainer.TrainConfig(lr=params["lr"], steps=params["steps"],
-                                 batch_size=params["batch_size"], seeds=1)
+                                 batch_size=params["batch_size"])
     target = {"tanh": "elementwise_tanh", "relu": "elementwise_relu",
               "linear": "linear"}[params["target"]]
     arch = {"coupling": "coupling_stack", "mlp": "small_mlp"}[params["arch"]]
@@ -398,7 +400,7 @@ def _run_train_reg(params, seed, outdir, manifest):
 
 def _run_train_mle(params, seed, outdir, manifest):
     config = trainer.TrainConfig(lr=params["lr"], steps=params["steps"],
-                                 batch_size=params["batch_size"], seeds=1)
+                                 batch_size=params["batch_size"])
     record = trainer.train_nvp_mle(params["dataset"], params["padding"], config, seed)
     meta = {"experiment": "train-mle", "d": 2 if params["padding"] == "none" else 4,
             "variant": f"{params['dataset']}/{params['padding']}"}

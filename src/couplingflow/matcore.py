@@ -32,25 +32,8 @@ def as_matrix_array(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_matrix_array(a)
-    b = as_matrix_array(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
 # ---------------------------------------------------------------------------
 # permutations
-
-
-def identity_permutation(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.int64)
 
 
 def check_permutation(p) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from couplingflow import coupling, matcore
-from couplingflow.coupling import Mlp, mlp_backward, mlp_forward, mlp_init
+from couplingflow.coupling import mlp_backward, mlp_forward, mlp_init
 from couplingflow.errors import DivergedRunError
 from couplingflow.metrics import relative_frobenius
 from couplingflow.rng import stream
@@ -34,13 +34,12 @@ class TrainConfig:
     lr: float = 1e-4
     steps: int = 20000
     batch_size: int = 256
-    seeds: int = 5
     init_std: float = 1e-5
     target_kind: str = "gaussian_matrix"
     log_interval: int = 100
 
     def __post_init__(self):
-        if min(self.lr, self.steps, self.batch_size, self.seeds, self.log_interval) <= 0:
+        if min(self.lr, self.steps, self.batch_size, self.log_interval) <= 0:
             raise ValueError("hyperparameters must be positive")
         if self.init_std < 0:
             raise ValueError("init_std must be nonnegative")
@@ -220,27 +219,16 @@ class PlnModel:
 
     def as_matrix(self) -> np.ndarray:
         """Multiply the layers out into the recovered d x d matrix."""
-        h = self.h
-        m = np.eye(self.d)
+        layers = []
         for layer in self.views:
-            lower = np.eye(self.d)
-            lower[h:, :h] = layer["A"]
-            lower[h:, h:] = np.diag(np.exp(layer["logb"]))
-            upper = np.eye(self.d)
-            upper[:h, :h] = np.diag(np.exp(layer["logc"]))
-            upper[:h, h:] = layer["D"]
-            m = np.diag(np.exp(layer["loge"])) @ upper @ lower @ m
-        return m
+            b, c, e = (np.exp(layer[name]) for name in ("logb", "logc", "loge"))
+            layers += [coupling.LinearCouplingLayer(coupling.LOWER, layer["A"], b),
+                       coupling.LinearCouplingLayer(coupling.UPPER, layer["D"], c),
+                       coupling.ActNormLayer(e)]
+        return coupling.as_matrix(coupling.sequence(layers, ambient_dim=self.d))
 
     def log_det(self) -> float:
-        total = 0.0
-        for layer in self.views:
-            total += float(np.sum(layer["logb"]) + np.sum(layer["logc"]) + np.sum(layer["loge"]))
-        return total
-
-
-def init_pln(d: int, n_layers: int, init_std: float, seed: int) -> PlnModel:
-    return PlnModel(d, n_layers, init_std, seed)
+        return float(np.sum(self.params[self._log_offset :]))
 
 
 def pln_gradients(model: PlnModel, batch_z: np.ndarray, target_matrix: np.ndarray) -> np.ndarray:
@@ -284,7 +272,7 @@ def train_pln(config: TrainConfig, d: int, n_layers: int, seed: int,
     batches. Frobenius error is normalized by 1/d^2 and the L2 loss by 1/d."""
     target = (np.asarray(target_matrix, dtype=np.float64) if target_matrix is not None
               else make_target_matrix(config.target_kind, d, seed))
-    model = init_pln(d, n_layers, config.init_std, seed)
+    model = PlnModel(d, n_layers, config.init_std, seed)
     adam = AdamState.for_params(model.params, config.lr)
     batches = stream(seed, "pln-batches", d, n_layers)
     record = RunRecord(seed=seed, config_hash=config_hash(config, d=d, n_layers=n_layers))
@@ -316,18 +304,11 @@ def train_pln(config: TrainConfig, d: int, n_layers: int, seed: int,
     return record
 
 
-def pln_depth_sweep(config: TrainConfig, d: int, layer_counts, seeds=None) -> dict:
-    """RunRecords per layer count over the configured seeds."""
-    seeds = range(config.seeds) if seeds is None else seeds
-    return {n: [train_pln(config, d, n, seed) for seed in seeds] for n in layer_counts}
-
-
 # ---------------------------------------------------------------------------
 # nonlinear coupling stacks
 
 
-def _coupling_stack(d: int, n_pairs: int, hidden: int, activation: str, seed: int,
-                    init_scale: float = None) -> list:
+def _coupling_stack(d: int, n_pairs: int, hidden: int, activation: str, seed: int) -> list:
     """Alternating lower/upper nonlinear couplings; s uses exptanh output."""
     h = d // 2
     rng = stream(seed, "stack-init", d, n_pairs, hidden)
@@ -335,9 +316,8 @@ def _coupling_stack(d: int, n_pairs: int, hidden: int, activation: str, seed: in
     for i in range(2 * n_pairs):
         side = coupling.LOWER if i % 2 == 0 else coupling.UPPER
         widths = [h, hidden, hidden, h]
-        s_net = mlp_init(widths, activation=activation, output_transform="exptanh",
-                         rng=rng, scale=init_scale)
-        t_net = mlp_init(widths, activation=activation, rng=rng, scale=init_scale)
+        s_net = mlp_init(widths, activation=activation, output_transform="exptanh", rng=rng)
+        t_net = mlp_init(widths, activation=activation, rng=rng)
         layers.append(coupling.NonlinearCouplingLayer(side=side, s_net=s_net, t_net=t_net))
     return layers
 
@@ -406,10 +386,6 @@ def _stack_backward(layers, caches, dout: np.ndarray, logdet_coeff: float = 0.0)
     return flat
 
 
-def _mlp_params(net: Mlp) -> list:
-    return list(net.weights) + list(net.biases)
-
-
 def _regression_target(kind: str, z: np.ndarray, matrix=None) -> np.ndarray:
     if kind == "elementwise_tanh":
         return np.tanh(z)
@@ -434,45 +410,43 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
     if architecture == "coupling_stack":
         layers = _coupling_stack(d, n_pairs, hidden, activation="tanh", seed=seed)
         params = _stack_params(layers)
-        adam = AdamList(params, config.lr)
-        for step in range(config.steps):
-            z = batches.standard_normal((config.batch_size, d))
-            y = _regression_target(target, z, lin)
+
+        def forward(z):
             out, caches, _ = _stack_forward(layers, z)
-            resid = out - y
-            loss = float(np.mean(np.sum(resid * resid, axis=1)) / d)
-            if not np.isfinite(loss):
-                raise DivergedRunError(f"loss diverged at step {step}", record)
-            if step % config.log_interval == 0:
-                record.log(step, loss=loss)
-            grads = _stack_backward(layers, caches, 2.0 * resid / (config.batch_size * d))
-            adam.update(grads)
+            return out, caches
+
+        def backward(caches, dout):
+            return _stack_backward(layers, caches, dout)
     elif architecture == "small_mlp":
         net = mlp_init([d, hidden, hidden, d], activation="tanh",
                        rng=stream(seed, "mlp-init", d, hidden))
-        params = _mlp_params(net)
-        adam = AdamList(params, config.lr)
-        for step in range(config.steps):
-            z = batches.standard_normal((config.batch_size, d))
-            y = _regression_target(target, z, lin)
-            out, cache = mlp_forward(net, z, want_cache=True)
-            resid = out - y
-            loss = float(np.mean(np.sum(resid * resid, axis=1)) / d)
-            if not np.isfinite(loss):
-                raise DivergedRunError(f"loss diverged at step {step}", record)
-            if step % config.log_interval == 0:
-                record.log(step, loss=loss)
-            gw, gb, _ = mlp_backward(net, cache, 2.0 * resid / (config.batch_size * d))
-            adam.update(list(gw) + list(gb))
+        params = net.weights + net.biases
+
+        def forward(z):
+            return mlp_forward(net, z, want_cache=True)
+
+        def backward(cache, dout):
+            gw, gb, _ = mlp_backward(net, cache, dout)
+            return gw + gb
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
 
+    adam = AdamList(params, config.lr)
+    for step in range(config.steps):
+        z = batches.standard_normal((config.batch_size, d))
+        y = _regression_target(target, z, lin)
+        out, cache = forward(z)
+        resid = out - y
+        loss = float(np.mean(np.sum(resid * resid, axis=1)) / d)
+        if not np.isfinite(loss):
+            raise DivergedRunError(f"loss diverged at step {step}", record)
+        if step % config.log_interval == 0:
+            record.log(step, loss=loss)
+        adam.update(backward(cache, 2.0 * resid / (config.batch_size * d)))
+
     z = batches.standard_normal((1024, d))
     y = _regression_target(target, z, lin)
-    if architecture == "coupling_stack":
-        out, _, _ = _stack_forward(layers, z)
-    else:
-        out = mlp_forward(net, z)
+    out, _ = forward(z)
     final_loss = float(np.mean(np.sum((out - y) ** 2, axis=1)) / d)
     record.log(config.steps, loss=final_loss)
     record.final = {"loss": final_loss}
@@ -610,7 +584,7 @@ def mle_linear_gaussian_check(sigma, n_samples: int, config: TrainConfig = None,
     if dim % 2 != 0:
         raise ValueError("dimension must be even")
     if config is None:
-        config = TrainConfig(lr=2e-3, steps=8000, batch_size=1024, seeds=1)
+        config = TrainConfig(lr=2e-3, steps=8000, batch_size=1024)
     chol = np.linalg.cholesky(sigma)
     rng = stream(seed, "mle-gaussian", dim, n_samples)
     data = rng.standard_normal((n_samples, dim)) @ chol.T

@@ -269,7 +269,7 @@ def test_criterion_09_separation_witness():
 
 def test_criterion_10_pln_depth_ordering():
     t0 = time.time()
-    config = tr.TrainConfig(lr=1e-4, steps=20000, batch_size=256, seeds=5)
+    config = tr.TrainConfig(lr=1e-4, steps=20000, batch_size=256)
     medians = {}
     for n_layers in (1, 2, 4, 8):
         finals = [tr.train_pln(config, d=16, n_layers=n_layers, seed=s).final["frobenius_error"]

@@ -154,6 +154,7 @@ def test_train_pln_cli_smoke(tmp_path):
     rows = [json.loads(line) for line in lines]
     assert {r["variant"] for r in rows} == {1, 2}
     assert all("frobenius_error" in r for r in rows)
+    assert harness.main(["--out", str(tmp_path / "none"), "train-pln", "--seeds", "0"]) == 1
 
 
 def test_train_reg_cli_smoke(tmp_path):

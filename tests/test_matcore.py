@@ -9,57 +9,6 @@ from couplingflow import matcore as mc
 from couplingflow.errors import EigGapTooSmallError, SingularMatrixError
 
 
-def matmul_reference(a, b):
-    """Literal triple-loop product, the independent accumulation oracle."""
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_swap_gadget():
-    # product of the four elementary 2x2 factors that swap two coordinates
-    m = (np.array([[1.0, 1], [0, 1]]) @ np.array([[1.0, 0], [-1, 1]])
-         @ np.array([[1.0, 1], [0, 1]]) @ np.array([[-1.0, 0], [0, 1]]))
-    assert np.array_equal(m, np.array([[0.0, 1], [1, 0]]))
-    chained = mc.matmul(mc.matmul(np.array([[1.0, 1], [0, 1]]), np.array([[1.0, 0], [-1, 1]])),
-                        mc.matmul(np.array([[1.0, 1], [0, 1]]), np.array([[-1.0, 0], [0, 1]])))
-    assert np.array_equal(chained, np.array([[0.0, 1], [1, 0]]))
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 4))
-    assert np.array_equal(mc.matmul(np.eye(4), a), a)
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((5, 3))
-    b = rng.standard_normal((3, 6))
-    assert np.allclose(mc.matmul(a, b), matmul_reference(a, b), rtol=1e-13, atol=1e-13)
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a, b, c = (rng.standard_normal((5, 5)) for _ in range(3))
-        left = mc.matmul(mc.matmul(a, b), c)
-        right = mc.matmul(a, mc.matmul(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(left))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mc.matmul(np.eye(3), np.eye(4))
-
-
 # ---------------------------------------------------------------------------
 # LUP
 
@@ -86,7 +35,7 @@ def test_lup_roundtrip_random():
     if mc.det(a) < 0:
         a[0] = -a[0]
     f = mc.lup(a)
-    rebuilt = mc.matmul(f.lower, f.upper)
+    rebuilt = f.lower @ f.upper
     assert np.linalg.norm(rebuilt - a[f.perm]) <= 1e-10 * np.linalg.norm(a)
 
 

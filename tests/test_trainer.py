@@ -29,30 +29,30 @@ def rel_err(a, b):
 # PLN model
 
 
-def test_init_pln_zero_std_is_identity():
-    model = tr.init_pln(6, 3, 0.0, seed=0)
+def test_pln_model_zero_std_is_identity():
+    model = tr.PlnModel(6, 3, 0.0, seed=0)
     assert np.allclose(model.as_matrix(), np.eye(6))
     z = np.random.default_rng(0).standard_normal((4, 6))
     out, _ = model.forward(z)
     assert np.allclose(out, z)
 
 
-def test_init_pln_near_identity():
+def test_pln_model_near_identity():
     d, std = 8, 1e-5
-    model = tr.init_pln(d, 2, std, seed=1)
+    model = tr.PlnModel(d, 2, std, seed=1)
     assert np.linalg.norm(model.as_matrix() - np.eye(d)) <= 2 * d * std
 
 
-def test_init_pln_seed_determinism():
-    a = tr.init_pln(4, 2, 1e-3, seed=5)
-    b = tr.init_pln(4, 2, 1e-3, seed=5)
+def test_pln_model_seed_determinism():
+    a = tr.PlnModel(4, 2, 1e-3, seed=5)
+    b = tr.PlnModel(4, 2, 1e-3, seed=5)
     assert np.array_equal(a.params, b.params)
-    c = tr.init_pln(4, 2, 1e-3, seed=6)
+    c = tr.PlnModel(4, 2, 1e-3, seed=6)
     assert not np.array_equal(a.params, c.params)
 
 
 def test_pln_gradient_zero_at_optimum():
-    model = tr.init_pln(4, 2, 0.1, seed=2)
+    model = tr.PlnModel(4, 2, 0.1, seed=2)
     z = np.random.default_rng(3).standard_normal((16, 4))
     target = model.as_matrix()
     grad = tr.pln_gradients(model, z, target)
@@ -61,7 +61,7 @@ def test_pln_gradient_zero_at_optimum():
 
 def test_pln_gradient_hand_derived_1d():
     # single layer at identity init, d = 2, one sample, diagonal target
-    model = tr.init_pln(2, 1, 0.0, seed=0)
+    model = tr.PlnModel(2, 1, 0.0, seed=0)
     z = np.array([[0.7, -1.3]])
     t1, t2 = 3.0, 0.5
     target = np.diag([t1, t2])
@@ -104,6 +104,8 @@ def test_pln_as_matrix_positive_det():
     model = tr.PlnModel(6, 3, 0.5, seed=8)
     sign, _ = mc.slogdet(model.as_matrix())
     assert sign > 0
+    z = np.random.default_rng(9).standard_normal((16, 6))
+    assert np.max(np.abs(model.forward(z)[0] - z @ model.as_matrix().T)) <= 1e-12
 
 
 def test_pln_rejects_empty_batch():
@@ -172,7 +174,7 @@ def test_pln_batch_enters_only_through_gram():
 def test_train_pln_logs_full_batch_loss(batch_size):
     config = tr.TrainConfig(lr=1e-3, steps=5, batch_size=batch_size, log_interval=5)
     record = tr.train_pln(config, d=6, n_layers=2, seed=12)
-    model = tr.init_pln(6, 2, config.init_std, seed=12)
+    model = tr.PlnModel(6, 2, config.init_std, seed=12)
     z0 = stream(12, "pln-batches", 6, 2).standard_normal((batch_size, 6))
     target = tr.make_target_matrix(config.target_kind, 6, seed=12)
     first = tr.pln_loss(model, z0, target)
@@ -308,7 +310,7 @@ def test_nvp_mle_zero_padding_notes_dequantization():
 
 
 def test_mle_linear_gaussian_check_small():
-    config = tr.TrainConfig(lr=2e-3, steps=2500, batch_size=512, seeds=1)
+    config = tr.TrainConfig(lr=2e-3, steps=2500, batch_size=512)
     fitted, sample_cov, gap = tr.mle_linear_gaussian_check(np.eye(4), 20000,
                                                            config=config, seed=24)
     # fitted covariance is symmetric PSD by construction
