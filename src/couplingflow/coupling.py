@@ -124,19 +124,23 @@ def mlp_backward(mlp: Mlp, cache, dout):
     return grad_w, grad_b, dh
 
 
-def mlp_jacobian(mlp: Mlp, x1d: np.ndarray) -> np.ndarray:
-    """Jacobian (out_dim, in_dim) at a single input point."""
-    _, cache = mlp_forward(mlp, x1d[None, :], want_cache=True)
-    jac = np.eye(mlp.in_dim)
+def _mlp_jacobians(mlp: Mlp, cache) -> np.ndarray:
+    """Per-row Jacobians (n, out_dim, in_dim) of the batch that filled
+    ``cache`` (from ``mlp_forward(..., want_cache=True)``).
+
+    Carried transposed, as (n, in_dim, width), so each weight is one matrix
+    product over all rows."""
+    pre = cache["pre"]
+    n, in_dim = cache["hidden"][0].shape
+    jac_t = np.broadcast_to(np.eye(in_dim), (n, in_dim, in_dim))
     last = len(mlp.weights) - 1
     for k, w in enumerate(mlp.weights):
-        jac = w.T @ jac
+        jac_t = (jac_t.reshape(n * in_dim, w.shape[0]) @ w).reshape(n, in_dim, w.shape[1])
         if k != last:
-            jac = _act_deriv(mlp.activation, cache["pre"][k][0])[:, None] * jac
+            jac_t = jac_t * _act_deriv(mlp.activation, pre[k])[:, None, :]
     if mlp.output_transform == "exptanh":
-        u = cache["pre"][-1][0]
-        jac = (cache["out"][0] * (1.0 - np.tanh(u) ** 2))[:, None] * jac
-    return jac
+        jac_t = jac_t * (cache["out"] * (1.0 - np.tanh(pre[-1]) ** 2))[:, None, :]
+    return jac_t.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +312,23 @@ def invert(seq: LayerSequence, y: np.ndarray) -> np.ndarray:
 
 def _left_multiply(layer, m: np.ndarray) -> None:
     """Overwrite m with (matrix of layer) @ m, touching only the rows the
-    layer changes."""
+    layer changes; m may be one matrix or a stack (n, 2d, k)."""
     if isinstance(layer, ActNormLayer):
         m *= layer.scale[:, None]
         return
     if isinstance(layer, NonlinearCouplingLayer):
         raise NonlinearLayerPresentError("nonlinear layer has no fixed matrix")
-    d = layer.dense.shape[0]
-    src, dst = (m[:d], m[d:]) if layer.side == LOWER else (m[d:], m[:d])
-    dst *= layer.diag[:, None]
-    dst += layer.dense @ src
+    _couple_rows(layer.side, layer.dense, layer.diag, m)
+
+
+def _couple_rows(side, dense, diag, m: np.ndarray) -> None:
+    """Overwrite the updated half of the rows of m with
+    diag * (those rows) + dense @ (the kept rows). dense and diag are one
+    block or one per member of the stack m."""
+    d = diag.shape[-1]
+    src, dst = (m[..., :d, :], m[..., d:, :]) if side == LOWER else (m[..., d:, :], m[..., :d, :])
+    dst *= diag[..., :, None]
+    dst += dense @ src
 
 
 def layer_matrix(layer) -> np.ndarray:
@@ -341,31 +352,37 @@ def as_matrix(seq) -> np.ndarray:
     return m
 
 
-def layer_jacobian(layer, x: np.ndarray) -> np.ndarray:
-    if isinstance(layer, (LinearCouplingLayer, ActNormLayer)):
-        return layer_matrix(layer)
-    d = layer.ambient_dim // 2
-    x1, x2 = x[:d], x[d:]
-    jac = np.eye(2 * d)
-    if layer.side == LOWER:
-        s = mlp_forward(layer.s_net, x1[None, :])[0]
-        jac[d:, d:] = np.diag(s)
-        jac[d:, :d] = x2[:, None] * mlp_jacobian(layer.s_net, x1) + mlp_jacobian(layer.t_net, x1)
-    else:
-        s = mlp_forward(layer.s_net, x2[None, :])[0]
-        jac[:d, :d] = np.diag(s)
-        jac[:d, d:] = x1[:, None] * mlp_jacobian(layer.s_net, x2) + mlp_jacobian(layer.t_net, x2)
-    return jac
-
-
 def jacobian(seq: LayerSequence, x: np.ndarray) -> np.ndarray:
-    """Chain-rule Jacobian of the sequence at x."""
+    """Chain-rule Jacobian of the sequence at a point x (2d,), giving
+    (2d, 2d), or at each row of a batch x (n, 2d), giving (n, 2d, 2d).
+
+    The layers are walked once for the whole batch: linear and actnorm
+    layers multiply in their matrix, and each nonlinear layer builds its
+    per-row blocks from one batched pass of its s and t nets."""
     x = np.asarray(x, dtype=np.float64)
-    jac = np.eye(seq.ambient_dim)
+    if x.shape[-1] != seq.ambient_dim:
+        raise ValueError(f"input dim {x.shape[-1]} != ambient {seq.ambient_dim}")
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    d = seq.ambient_dim // 2
+    jac = np.tile(np.eye(seq.ambient_dim), (x.shape[0], 1, 1))
     for layer in seq.layers:
-        jac = layer_jacobian(layer, x) @ jac
-        x = apply_layer(layer, x)
-    return jac
+        if not isinstance(layer, NonlinearCouplingLayer):
+            _left_multiply(layer, jac)
+            x = apply_layer(layer, x)
+            continue
+        x1, x2 = _split(x, d)
+        cond, passive = (x1, x2) if layer.side == LOWER else (x2, x1)
+        s, s_cache = mlp_forward(layer.s_net, cond, want_cache=True)
+        t, t_cache = mlp_forward(layer.t_net, cond, want_cache=True)
+        # d(passive * s + t)/d(cond) = diag(passive) J_s + J_t, per row
+        dense = passive[:, :, None] * _mlp_jacobians(layer.s_net, s_cache) \
+            + _mlp_jacobians(layer.t_net, t_cache)
+        _couple_rows(layer.side, dense, s, jac)
+        updated = passive * s + t
+        x = np.concatenate([x1, updated] if layer.side == LOWER else [updated, x2], axis=-1)
+    return jac[0] if single else jac
 
 
 def log_det_jacobian(seq: LayerSequence, x: np.ndarray) -> float:

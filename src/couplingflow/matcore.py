@@ -282,22 +282,29 @@ def triangular_eigvecs(a, min_gap: float = 1e-8, upper: bool = False) -> np.ndar
 
 
 def svd_small(a) -> np.ndarray:
-    """Singular values of a small matrix, descending, from LAPACK (gesdd)."""
-    a = as_matrix_array(a)
-    if max(a.shape) > SVD_MAX_DIM:
+    """Singular values of a small matrix, or of each member of a stack
+    (..., m, n), descending along the last axis, from LAPACK (gesdd) in one
+    call. SVD_MAX_DIM bounds the matrix dimensions, not the stack size."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    if max(a.shape[-2:]) > SVD_MAX_DIM:
         raise ValueError(f"svd_small supports n <= {SVD_MAX_DIM}")
     return np.linalg.svd(a, compute_uv=False)
 
 
-def condition_number(a) -> float:
-    """sigma_max / sigma_min from svd_small; +inf only when sigma_min is
-    exactly 0 (the all-zero matrix, for one). A rank-deficient nonzero
-    matrix usually gets a rounding-level sigma_min, about 1e-17 relative,
-    and so a finite condition number near 1e16 or above."""
+def condition_number(a):
+    """sigma_max / sigma_min from svd_small: a float for one matrix, an
+    array for a stack. +inf only when sigma_min is exactly 0 (the all-zero
+    matrix, for one). A rank-deficient nonzero matrix usually gets a
+    rounding-level sigma_min, about 1e-17 relative, and so a finite
+    condition number near 1e16 or above."""
     sv = svd_small(a)
-    if sv[-1] == 0.0:
-        return np.inf
-    return float(sv[0] / sv[-1])
+    smax, smin = sv[..., 0], sv[..., -1]
+    cond = np.divide(smax, smin, out=np.full_like(smax, np.inf), where=smin != 0.0)
+    return float(cond) if cond.ndim == 0 else cond
 
 
 # ---------------------------------------------------------------------------

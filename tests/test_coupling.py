@@ -165,6 +165,8 @@ def test_jacobian_nonlinear_finite_difference():
 def test_jacobian_identity_sequence():
     seq = cp.sequence([], ambient_dim=6)
     assert np.array_equal(cp.jacobian(seq, np.zeros(6)), np.eye(6))
+    assert np.array_equal(cp.jacobian(seq, np.ones((5, 6))),
+                          np.broadcast_to(np.eye(6), (5, 6, 6)))
 
 
 def test_jacobian_chain_rule_multi_layer():
@@ -181,6 +183,46 @@ def test_jacobian_chain_rule_multi_layer():
     x = rng.standard_normal(4)
     fd = finite_difference_jacobian(lambda v: cp.apply(seq, v), x)
     assert np.max(np.abs(cp.jacobian(seq, x) - fd)) <= 1e-5
+
+
+def mixed_sequence(rng, d=2):
+    """Linear lower and upper, actnorm, and nonlinear layers on both sides
+    with relu and tanh nets."""
+    def nonlinear(side, activation):
+        widths = [d, 6, 6, d]
+        return cp.NonlinearCouplingLayer(
+            side=side,
+            s_net=cp.mlp_init(widths, activation=activation, output_transform="exptanh", rng=rng),
+            t_net=cp.mlp_init(widths, activation=activation, rng=rng))
+
+    layers = [
+        cp.LinearCouplingLayer(side=cp.LOWER, dense=rng.standard_normal((d, d)),
+                               diag=np.exp(0.3 * rng.standard_normal(d))),
+        nonlinear(cp.UPPER, "relu"),
+        cp.ActNormLayer(scale=np.exp(0.2 * rng.standard_normal(2 * d)) * np.array([1, -1] * d)),
+        nonlinear(cp.LOWER, "tanh"),
+        cp.LinearCouplingLayer(side=cp.UPPER, dense=rng.standard_normal((d, d)),
+                               diag=np.exp(0.3 * rng.standard_normal(d))),
+        nonlinear(cp.LOWER, "relu"),
+        nonlinear(cp.UPPER, "tanh"),
+    ]
+    return cp.sequence(layers, ambient_dim=2 * d)
+
+
+def test_jacobian_batch_matches_finite_differences_per_row():
+    rng = np.random.default_rng(10)
+    seq = mixed_sequence(rng)
+    x = rng.standard_normal((12, 4))
+    jac = cp.jacobian(seq, x)
+    assert jac.shape == (12, 4, 4)
+    for row, j in zip(x, jac):
+        fd = finite_difference_jacobian(lambda v: cp.apply(seq, v), row)
+        assert np.max(np.abs(j - fd)) <= 1e-5
+        # a point gives its own (2d, 2d) matrix, equal to its batch row
+        single = cp.jacobian(seq, row)
+        assert single.shape == (4, 4)
+        assert np.allclose(single, j, rtol=1e-13, atol=1e-13)
+    assert cp.jacobian(seq, np.zeros((0, 4))).shape == (0, 4, 4)
 
 
 def test_log_det_identity_zero():

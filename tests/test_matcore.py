@@ -276,6 +276,28 @@ def test_svd_descending_nonnegative():
     assert np.all(np.diff(sv) <= 0)
 
 
+def test_svd_stack_matches_per_matrix():
+    rng = np.random.default_rng(16)
+    stack = rng.standard_normal((100, 4, 4))  # more members than SVD_MAX_DIM
+    sv = mc.svd_small(stack)
+    cond = mc.condition_number(stack)
+    assert sv.shape == (100, 4) and cond.shape == (100,)
+    for k, a in enumerate(stack):
+        assert np.array_equal(sv[k], mc.svd_small(a))
+        assert cond[k] == mc.condition_number(a)
+    assert isinstance(mc.condition_number(stack[0]), float)
+    with pytest.raises(ValueError):
+        mc.svd_small(np.zeros((2, mc.SVD_MAX_DIM + 1, 3)))
+
+
+def test_condition_number_stack_zero_member_is_inf():
+    stack = np.stack([np.eye(3), np.zeros((3, 3)), np.diag([4.0, 2.0, 1.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cond = mc.condition_number(stack)
+    assert cond[0] == 1.0 and cond[1] == np.inf and cond[2] == 4.0
+
+
 # ---------------------------------------------------------------------------
 # MAT1 format
 

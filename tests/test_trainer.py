@@ -309,6 +309,43 @@ def test_nvp_mle_zero_padding_notes_dequantization():
     assert any("dequantized" in note for note in record.notes)
 
 
+def test_nvp_mle_one_jacobian_and_one_svd_per_probe(monkeypatch):
+    # one batched Jacobian and one stacked SVD per probe, not one per probe row
+    calls = {"jacobian": 0, "svd_small": 0}
+    for module, name in ((cp, "jacobian"), (mc, "svd_small")):
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    config = tr.TrainConfig(lr=1e-3, steps=50, batch_size=64, log_interval=25)
+    tr.train_nvp_mle("four_gaussians", "zero", config, seed=28, n_pairs=2, hidden=32)
+    assert calls == {"jacobian": 3, "svd_small": 3}  # steps 0 and 25, and the final
+
+
+def test_nvp_mle_records_spike_above_start():
+    # lr 1e-3 run whose eval NLL falls to -2.58 and then spikes to ~24 at the end
+    config = tr.TrainConfig(lr=1e-3, steps=100, batch_size=128, log_interval=25)
+    record = tr.train_nvp_mle("four_gaussians", "zero", config, seed=438468767)
+    nll, batch_max = record.metrics["nll"], record.metrics["nll_batch_max"]
+    assert len(batch_max) == len(nll) == 5
+    assert record.final["nll"] > nll[0]
+    assert any(note.startswith("warning: final eval NLL") for note in record.notes)
+    # the last interval's training batches already show the rise
+    assert batch_max[-1] > max(batch_max[2:-1]) + 10.0
+
+
+def test_nvp_mle_log_every_step_with_large_probe():
+    # the probe batch may hold more rows than SVD_MAX_DIM
+    config = tr.TrainConfig(lr=1e-3, steps=2, batch_size=32, log_interval=1)
+    record = tr.train_nvp_mle("four_gaussians", "gaussian", config, seed=29,
+                              n_pairs=1, hidden=16, probe_size=2 * mc.SVD_MAX_DIM)
+    assert all(np.isfinite(v) for v in record.metrics["cond_log10_max"])
+    # logs at steps 0, 1 and 2; the final one runs no step and repeats step 1's batch
+    batch_max = record.metrics["nll_batch_max"]
+    assert record.metrics["step"] == [0, 1, 2]
+    assert batch_max[2] == batch_max[1]
+
+
 def test_mle_linear_gaussian_check_small():
     config = tr.TrainConfig(lr=2e-3, steps=2500, batch_size=512)
     fitted, sample_cov, gap = tr.mle_linear_gaussian_check(np.eye(4), 20000,
