@@ -3,7 +3,9 @@
 The coordinate partition is fixed throughout: the first half of the 2d
 coordinates versus the second half. A "lower" layer keeps the first half
 and updates the second; an "upper" layer keeps the second half and updates
-the first. Linear layers realize the block matrices
+the first. Every coupling layer is one step: the kept half k stays, the
+passive half p goes to p * s(k) + t(k) with s > 0. Linear layers are the
+case s = b, t = A k, realizing the block matrices
 
     lower: [I 0; A diag(b)]        upper: [diag(c) D; 0 I]
 
@@ -215,6 +217,8 @@ class LayerSequence:
 
     def __post_init__(self):
         for layer in self.layers:
+            if not isinstance(layer, (LinearCouplingLayer, ActNormLayer, NonlinearCouplingLayer)):
+                raise TypeError(f"unknown layer type {type(layer)!r}")
             if layer.ambient_dim != self.ambient_dim:
                 raise ValueError("layers disagree on ambient dimension")
 
@@ -245,51 +249,46 @@ def identity_layer(dim_half: int, side: str = LOWER) -> LinearCouplingLayer:
 # evaluation
 
 
-def _split(x, d):
-    return x[..., :d], x[..., d:]
+def _halves(side, x):
+    """(kept, passive) halves of x (..., 2d) for a layer on ``side``."""
+    d = x.shape[-1] // 2
+    return (x[..., :d], x[..., d:]) if side == LOWER else (x[..., d:], x[..., :d])
+
+
+def _join(side, kept, updated):
+    """Inverse of ``_halves``: reassemble x from its kept and updated halves."""
+    return np.concatenate([kept, updated] if side == LOWER else [updated, kept], axis=-1)
+
+
+def _scale_shift(layer, kept):
+    """Scale s and shift t of the coupling step passive -> passive * s + t.
+
+    A linear layer is the case s = diag, t = dense @ kept; a nonlinear one
+    evaluates its nets (a single point runs as a one-row batch)."""
+    if isinstance(layer, LinearCouplingLayer):
+        return layer.diag, kept @ layer.dense.T
+    if isinstance(layer, NonlinearCouplingLayer):
+        rows = np.atleast_2d(kept)
+        return (mlp_forward(layer.s_net, rows).reshape(kept.shape),
+                mlp_forward(layer.t_net, rows).reshape(kept.shape))
+    raise TypeError(f"unknown layer type {type(layer)!r}")
 
 
 def apply_layer(layer, x: np.ndarray) -> np.ndarray:
     """Apply one layer to x; x may be a vector (2d,) or a batch (n, 2d)."""
-    d = layer.ambient_dim // 2
     if isinstance(layer, ActNormLayer):
         return x * layer.scale
-    x1, x2 = _split(x, d)
-    if isinstance(layer, LinearCouplingLayer):
-        if layer.side == LOWER:
-            return np.concatenate([x1, x2 * layer.diag + x1 @ layer.dense.T], axis=-1)
-        return np.concatenate([x1 * layer.diag + x2 @ layer.dense.T, x2], axis=-1)
-    if isinstance(layer, NonlinearCouplingLayer):
-        batched = x.ndim == 2
-        xa = x if batched else x[None, :]
-        x1, x2 = _split(xa, d)
-        if layer.side == LOWER:
-            out = np.concatenate([x1, x2 * mlp_forward(layer.s_net, x1) + mlp_forward(layer.t_net, x1)], axis=-1)
-        else:
-            out = np.concatenate([x1 * mlp_forward(layer.s_net, x2) + mlp_forward(layer.t_net, x2), x2], axis=-1)
-        return out if batched else out[0]
-    raise TypeError(f"unknown layer type {type(layer)!r}")
+    kept, passive = _halves(layer.side, x)
+    s, t = _scale_shift(layer, kept)
+    return _join(layer.side, kept, passive * s + t)
 
 
 def invert_layer(layer, y: np.ndarray) -> np.ndarray:
-    d = layer.ambient_dim // 2
     if isinstance(layer, ActNormLayer):
         return y / layer.scale
-    y1, y2 = _split(y, d)
-    if isinstance(layer, LinearCouplingLayer):
-        if layer.side == LOWER:
-            return np.concatenate([y1, (y2 - y1 @ layer.dense.T) / layer.diag], axis=-1)
-        return np.concatenate([(y1 - y2 @ layer.dense.T) / layer.diag, y2], axis=-1)
-    if isinstance(layer, NonlinearCouplingLayer):
-        batched = y.ndim == 2
-        ya = y if batched else y[None, :]
-        y1, y2 = _split(ya, d)
-        if layer.side == LOWER:
-            out = np.concatenate([y1, (y2 - mlp_forward(layer.t_net, y1)) / mlp_forward(layer.s_net, y1)], axis=-1)
-        else:
-            out = np.concatenate([(y1 - mlp_forward(layer.t_net, y2)) / mlp_forward(layer.s_net, y2), y2], axis=-1)
-        return out if batched else out[0]
-    raise TypeError(f"unknown layer type {type(layer)!r}")
+    kept, updated = _halves(layer.side, y)
+    s, t = _scale_shift(layer, kept)
+    return _join(layer.side, kept, (updated - t) / s)
 
 
 def apply(seq: LayerSequence, x: np.ndarray) -> np.ndarray:
@@ -365,42 +364,40 @@ def jacobian(seq: LayerSequence, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    d = seq.ambient_dim // 2
     jac = np.tile(np.eye(seq.ambient_dim), (x.shape[0], 1, 1))
     for layer in seq.layers:
         if not isinstance(layer, NonlinearCouplingLayer):
             _left_multiply(layer, jac)
             x = apply_layer(layer, x)
             continue
-        x1, x2 = _split(x, d)
-        cond, passive = (x1, x2) if layer.side == LOWER else (x2, x1)
-        s, s_cache = mlp_forward(layer.s_net, cond, want_cache=True)
-        t, t_cache = mlp_forward(layer.t_net, cond, want_cache=True)
-        # d(passive * s + t)/d(cond) = diag(passive) J_s + J_t, per row
+        kept, passive = _halves(layer.side, x)
+        s, s_cache = mlp_forward(layer.s_net, kept, want_cache=True)
+        t, t_cache = mlp_forward(layer.t_net, kept, want_cache=True)
+        # d(passive * s + t)/d(kept) = diag(passive) J_s + J_t, per row
         dense = passive[:, :, None] * _mlp_jacobians(layer.s_net, s_cache) \
             + _mlp_jacobians(layer.t_net, t_cache)
         _couple_rows(layer.side, dense, s, jac)
-        updated = passive * s + t
-        x = np.concatenate([x1, updated] if layer.side == LOWER else [updated, x2], axis=-1)
+        x = _join(layer.side, kept, passive * s + t)
     return jac[0] if single else jac
 
 
 def log_det_jacobian(seq: LayerSequence, x: np.ndarray) -> float:
-    """Sum over layers of the triangular log-determinant contributions."""
+    """log |det| of the Jacobian at one point x (2d,): per layer, sum(log s)
+    of its coupling step, or sum(log |scale|) for actnorm."""
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != (seq.ambient_dim,):
+        raise ValueError(f"log_det_jacobian takes one point of shape "
+                         f"({seq.ambient_dim},), got {x.shape}")
     total = 0.0
-    d = seq.ambient_dim // 2
     for layer in seq.layers:
         if isinstance(layer, ActNormLayer):
             total += float(np.sum(np.log(np.abs(layer.scale))))
-        elif isinstance(layer, LinearCouplingLayer):
-            total += float(np.sum(np.log(layer.diag)))
-        else:
-            cond = x[:d] if layer.side == LOWER else x[d:]
-            # log s = tanh(pre-activation) by the exptanh construction
-            s = mlp_forward(layer.s_net, cond[None, :])[0]
-            total += float(np.sum(np.log(s)))
-        x = apply_layer(layer, x)
+            x = apply_layer(layer, x)
+            continue
+        kept, passive = _halves(layer.side, x)
+        s, t = _scale_shift(layer, kept)
+        total += float(np.sum(np.log(s)))
+        x = _join(layer.side, kept, passive * s + t)
     return total
 
 

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -146,8 +147,36 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         cleaned[name] = val
     if not isinstance(config.master_seed, int):
         raise ConfigError("master seed must be an integer")
+    _check_values(config.subcommand, cleaned)
     return ExperimentConfig(subcommand=config.subcommand, params=cleaned,
                             master_seed=config.master_seed, output_dir=config.output_dir)
+
+
+def _check_values(subcommand: str, params: dict) -> None:
+    """Ranges the schema types and choices cannot express: every number is
+    positive, except fit_matrices, which is 0 (no fit) or an even count."""
+    for name, val in params.items():
+        if name == "fit_matrices":
+            if val < 0 or val % 2:
+                raise ConfigError(f"parameter fit_matrices must be 0 or a positive "
+                                  f"even count, got {val}")
+        elif isinstance(val, (int, float)) and not 0 < val < math.inf:
+            raise ConfigError(f"parameter {name} must be positive, got {val!r}")
+    if subcommand == "train-pln":
+        if params["d"] % 2:
+            raise ConfigError(f"parameter d must be even, got {params['d']}")
+        _layer_counts(params["layers"])
+
+
+def _layer_counts(spec: str) -> list:
+    """Parse the train-pln ``layers`` list, e.g. "1,2,4,8"."""
+    try:
+        counts = [int(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"parameter layers: {exc}") from exc
+    if min(counts) < 1:
+        raise ConfigError(f"parameter layers must hold positive counts, got {spec!r}")
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +383,10 @@ def _run_separation(params, seed, outdir, manifest):
 
 
 def _run_train_pln(params, seed, outdir, manifest):
-    if params["seeds"] < 1:
-        raise ConfigError("seeds must be positive")
     config = trainer.TrainConfig(lr=params["lr"], steps=params["steps"],
                                  batch_size=params["batch_size"],
                                  target_kind=params["target"] + "_matrix")
-    layer_counts = [int(x) for x in params["layers"].split(",")]
+    layer_counts = _layer_counts(params["layers"])
     texts = []
     summary = {}
     for n_layers in layer_counts:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from couplingflow import coupling, matcore
-from couplingflow.coupling import mlp_backward, mlp_forward, mlp_init
+from couplingflow.coupling import _halves, _join, mlp_backward, mlp_forward, mlp_init
 from couplingflow.errors import DivergedRunError
 from couplingflow.metrics import relative_frobenius
 from couplingflow.rng import stream
@@ -334,56 +334,33 @@ def _stack_params(layers) -> list:
 def _stack_forward(layers, x: np.ndarray, want_logdet: bool = False):
     """Forward through the coupling stack, caching everything the backward
     pass needs; logdet is the per-sample sum of log scale outputs."""
-    h = layers[0].ambient_dim // 2 if layers else x.shape[1] // 2
     caches = []
     logdet = np.zeros(x.shape[0])
     for layer in layers:
-        x1, x2 = x[:, :h], x[:, h:]
-        cond, passive = (x1, x2) if layer.side == coupling.LOWER else (x2, x1)
-        s, s_cache = mlp_forward(layer.s_net, cond, want_cache=True)
-        t, t_cache = mlp_forward(layer.t_net, cond, want_cache=True)
-        updated = passive * s + t
+        kept, passive = _halves(layer.side, x)
+        s, s_cache = mlp_forward(layer.s_net, kept, want_cache=True)
+        t, t_cache = mlp_forward(layer.t_net, kept, want_cache=True)
         if want_logdet:
             logdet += np.sum(np.log(s), axis=1)
-        caches.append((x, cond, passive, s, s_cache, t_cache))
-        if layer.side == coupling.LOWER:
-            x = np.concatenate([x1, updated], axis=1)
-        else:
-            x = np.concatenate([updated, x2], axis=1)
+        caches.append((passive, s, s_cache, t_cache))
+        x = _join(layer.side, kept, passive * s + t)
     return x, caches, logdet
 
 
 def _stack_backward(layers, caches, dout: np.ndarray, logdet_coeff: float = 0.0) -> list:
     """Gradients in the order of _stack_params; logdet_coeff weights the
     d(sum log s)/dparams term (per sample)."""
-    h = layers[0].ambient_dim // 2
-    grads = {id(layer): None for layer in layers}
-    for layer, cache in zip(reversed(layers), reversed(caches)):
-        x, cond, passive, s, s_cache, t_cache = cache
-        if layer.side == coupling.LOWER:
-            dcond_direct, dupd = dout[:, :h], dout[:, h:]
-        else:
-            dupd, dcond_direct = dout[:, :h], dout[:, h:]
+    grads = []
+    for layer, (passive, s, s_cache, t_cache) in zip(reversed(layers), reversed(caches)):
+        dkept, dupd = _halves(layer.side, dout)
         ds = dupd * passive
         if logdet_coeff != 0.0:
             ds = ds + logdet_coeff / s
-        sw, sb, dcond_s = mlp_backward(layer.s_net, s_cache, ds)
-        tw, tb, dcond_t = mlp_backward(layer.t_net, t_cache, dupd)
-        dpassive = dupd * s
-        dcond = dcond_direct + dcond_s + dcond_t
-        if layer.side == coupling.LOWER:
-            dout = np.concatenate([dcond, dpassive], axis=1)
-        else:
-            dout = np.concatenate([dpassive, dcond], axis=1)
-        grads[id(layer)] = (sw, sb, tw, tb)
-    flat = []
-    for layer in layers:
-        sw, sb, tw, tb = grads[id(layer)]
-        flat.extend(sw)
-        flat.extend(sb)
-        flat.extend(tw)
-        flat.extend(tb)
-    return flat
+        sw, sb, dkept_s = mlp_backward(layer.s_net, s_cache, ds)
+        tw, tb, dkept_t = mlp_backward(layer.t_net, t_cache, dupd)
+        dout = _join(layer.side, dkept + dkept_s + dkept_t, dupd * s)
+        grads.append(sw + sb + tw + tb)
+    return [g for layer_grads in reversed(grads) for g in layer_grads]
 
 
 def _regression_target(kind: str, z: np.ndarray, matrix=None) -> np.ndarray:

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +90,28 @@ def test_invert_roundtrip_nonlinear():
     y = rng.standard_normal(6)
     x = cp.invert(seq, y)
     assert np.linalg.norm(cp.apply(seq, x) - y) <= 1e-9 * max(1.0, np.linalg.norm(y))
+    ys = rng.standard_normal((5, 6))
+    xs = cp.invert(seq, ys)
+    assert np.max(np.abs(cp.apply(seq, xs) - ys)) <= 1e-9 * max(1.0, np.max(np.abs(ys)))
+    # a point gives its batch row (up to BLAS summation order)
+    for row, out in zip(xs, cp.apply(seq, xs)):
+        assert np.allclose(cp.apply(seq, row), out, rtol=1e-14, atol=1e-14)
+
+
+def test_unknown_layer_type_rejected():
+    @dataclass(frozen=True)
+    class ForeignLayer:
+        side: str = cp.LOWER
+        ambient_dim: int = 4
+
+    # a sequence refuses any other object, so apply, invert, jacobian and
+    # log_det_jacobian never meet one
+    for foreign in (ForeignLayer(), SimpleNamespace(ambient_dim=4)):
+        with pytest.raises(TypeError, match="unknown layer type"):
+            cp.sequence([cp.identity_layer(2), foreign])
+    for fn in (cp.apply_layer, cp.invert_layer):
+        with pytest.raises(TypeError, match="unknown layer type"):
+            fn(ForeignLayer(), np.ones(4))
 
 
 def test_as_matrix_block_structure():
@@ -226,7 +251,12 @@ def test_jacobian_batch_matches_finite_differences_per_row():
 
 
 def test_log_det_identity_zero():
-    assert cp.log_det_jacobian(cp.sequence([cp.identity_layer(2)]), np.zeros(4)) == 0.0
+    seq = cp.sequence([cp.identity_layer(2)])
+    assert cp.log_det_jacobian(seq, np.zeros(4)) == 0.0
+    # one point only: a batch or a wrong dimension is an error, not a sum
+    for bad in (np.zeros((3, 4)), np.zeros(6)):
+        with pytest.raises(ValueError, match=r"shape \(4,\)"):
+            cp.log_det_jacobian(seq, bad)
 
 
 def test_log_det_diag_layer():

@@ -157,6 +157,32 @@ def test_train_pln_cli_smoke(tmp_path):
     assert harness.main(["--out", str(tmp_path / "none"), "train-pln", "--seeds", "0"]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["train-pln", "--steps", "0"],
+    ["train-pln", "--d", "5"],
+    ["train-pln", "--layers", "0"],
+    ["train-pln", "--layers", "a"],
+    ["train-reg", "--lr", "-1"],
+    ["train-mle", "--batch-size", "0"],
+    ["certify", "--fit-matrices", "3"],
+    ["certify", "--fit-matrices", "8", "--fit-steps", "0"],
+    ["certify", "--fit-matrices", "8", "--restarts", "0"],
+    ["universal", "--mode", "lattice", "--samples", "0"],
+    ["universal", "--mode", "padded", "--truncation", "-1"],
+    ["separation", "--samples", "0"],
+])
+def test_cli_rejects_bad_values_before_running(tmp_path, capsys, args):
+    from couplingflow import certificates
+    if args[0] == "certify":
+        mat_path = tmp_path / "hard.mat"
+        matcore.write_mat1(mat_path, certificates.hard_instance(4, np.arange(1.0, 5.0)))
+        args = args + ["--input", str(mat_path), "--d", "4"]
+    outdir = tmp_path / "out"
+    assert harness.main(["--out", str(outdir)] + args) == 1
+    assert "validation error" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_train_reg_cli_smoke(tmp_path):
     outdir = tmp_path / "reg"
     code = harness.main(["--out", str(outdir), "train-reg", "--d", "4",
