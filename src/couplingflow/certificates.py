@@ -29,6 +29,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from couplingflow import matcore
+from couplingflow.coupling import LOWER, UPPER, LinearCouplingLayer, as_matrix, sequence
 from couplingflow.errors import SingularBlockError
 
 NOT_IN_A4 = "not_in_a4"
@@ -46,7 +47,6 @@ class SchurCertificate:
     max_imag: float
     reason_rlrl: str
     trace_value: float
-    similarity_witness: np.ndarray | None = None
     details: dict = field(default_factory=dict)
 
 
@@ -82,22 +82,21 @@ class FourProduct:
 
 
 def four_product(a, b, c, d_blk, e, f, g, h) -> FourProduct:
-    """Assemble [I 0; A diag(b)][diag(c) D; 0 I][I 0; E diag(f)][diag(g) H; 0 I]."""
-    a = np.asarray(a, dtype=np.float64)
+    """Assemble [I 0; A diag(b)][diag(c) D; 0 I][I 0; E diag(f)][diag(g) H; 0 I]
+    from positive diagonals b, c, f, g."""
+    a, b, c, d_blk, e, f, g, h = (np.asarray(v, dtype=np.float64)
+                                  for v in (a, b, c, d_blk, e, f, g, h))
     n = a.shape[0]
-    eye = np.eye(n)
-    m1 = np.block([[eye, np.zeros((n, n))], [a, np.diag(b)]])
-    m2 = np.block([[np.diag(c), d_blk], [np.zeros((n, n)), eye]])
-    m3 = np.block([[eye, np.zeros((n, n))], [e, np.diag(f)]])
-    m4 = np.block([[np.diag(g), h], [np.zeros((n, n)), eye]])
-    t = m1 @ m2 @ m3 @ m4
+    t = as_matrix(sequence([  # apply order: the rightmost matrix first
+        LinearCouplingLayer(side=UPPER, dense=h, diag=g),
+        LinearCouplingLayer(side=LOWER, dense=e, diag=f),
+        LinearCouplingLayer(side=UPPER, dense=d_blk, diag=c),
+        LinearCouplingLayer(side=LOWER, dense=a, diag=b),
+    ]))
     x = t[:n, :n]
     z = t[n:, :n]
-    witness = z - a @ x
     x_inv = matcore.inv(x)
-    return FourProduct(t=t, witness=witness,
-                       x_inv_cg=x_inv @ np.diag(np.asarray(c) * np.asarray(g)),
-                       bf=np.asarray(b, dtype=np.float64) * np.asarray(f, dtype=np.float64),
+    return FourProduct(t=t, witness=z - a @ x, x_inv_cg=x_inv @ np.diag(c * g), bf=b * f,
                        x_inv_c=x_inv @ np.diag(c))
 
 

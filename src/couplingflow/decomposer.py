@@ -43,10 +43,14 @@ RESIDUAL_WARN_RTOL = 1e-6  # decompose warns when its product misses the target 
 @dataclass
 class DecompositionResult:
     layers: LayerSequence
-    matrix_count: int
     residual: float
     stage_log: list
     warnings: list = field(default_factory=list)
+
+    @property
+    def matrix_count(self):
+        """Number of coupling matrices in ``layers``."""
+        return len(self.layers)
 
     @property
     def layer_pair_count(self):
@@ -304,74 +308,6 @@ def block_diag_layers(m, s, min_gap: float = 1e-8) -> LayerSequence:
 
 
 # ---------------------------------------------------------------------------
-# elementary shears and scalings
-
-
-def shear_and_scale_layers(dim_half: int, i: int, j: int, c: float) -> LayerSequence:
-    """Coupling layers realizing an elementary matrix on 2d coordinates.
-
-    i == j: scaling of coordinate i by c > 0 (one matrix).
-    i != j: shear adding c * x_j to x_i. Cross-partition shears need one
-    matrix. Within-half shears route through the first coordinate of the
-    opposite half and need four matrices: the product
-    L(-E) U(D) L(E) U(-D) with D = c e_i e_0^T and E = e_0 e_j^T collapses
-    to the exact elementary shear (the cross terms vanish since i != j).
-    """
-    d = dim_half
-    if not (0 <= i < 2 * d and 0 <= j < 2 * d):
-        raise ValueError("coordinate index out of range")
-    ones = np.ones(d)
-    if i == j:
-        if c == 0.0:
-            raise ValueError("scale factor must be nonzero")
-        if c < 0.0:
-            raise ValueError("scale factor must be positive for a coupling layer")
-        diag = np.ones(d)
-        if i < d:
-            diag[i] = c
-            return sequence([LinearCouplingLayer(side=UPPER, dense=np.zeros((d, d)), diag=diag)])
-        diag[i - d] = c
-        return sequence([LinearCouplingLayer(side=LOWER, dense=np.zeros((d, d)), diag=diag)])
-
-    if c == 0.0:
-        return sequence([], ambient_dim=2 * d)
-
-    if i < d <= j:  # first half receives from second half
-        dense = np.zeros((d, d))
-        dense[i, j - d] = c
-        return sequence([LinearCouplingLayer(side=UPPER, dense=dense, diag=ones.copy())])
-    if j < d <= i:
-        dense = np.zeros((d, d))
-        dense[i - d, j] = c
-        return sequence([LinearCouplingLayer(side=LOWER, dense=dense, diag=ones.copy())])
-
-    if i < d and j < d:
-        e_mat = np.zeros((d, d))
-        e_mat[0, j] = 1.0
-        d_mat = np.zeros((d, d))
-        d_mat[i, 0] = c
-        # product order L(-E) U(D) L(E) U(-D); apply order reversed
-        return sequence([
-            LinearCouplingLayer(side=UPPER, dense=-d_mat, diag=ones.copy()),
-            LinearCouplingLayer(side=LOWER, dense=e_mat, diag=ones.copy()),
-            LinearCouplingLayer(side=UPPER, dense=d_mat, diag=ones.copy()),
-            LinearCouplingLayer(side=LOWER, dense=-e_mat, diag=ones.copy()),
-        ])
-    # both in second half: mirrored construction through first-half storage
-    ii, jj = i - d, j - d
-    e_mat = np.zeros((d, d))
-    e_mat[0, jj] = 1.0
-    d_mat = np.zeros((d, d))
-    d_mat[ii, 0] = c
-    return sequence([
-        LinearCouplingLayer(side=LOWER, dense=-d_mat, diag=ones.copy()),
-        LinearCouplingLayer(side=UPPER, dense=e_mat, diag=ones.copy()),
-        LinearCouplingLayer(side=LOWER, dense=d_mat, diag=ones.copy()),
-        LinearCouplingLayer(side=UPPER, dense=-e_mat, diag=ones.copy()),
-    ])
-
-
-# ---------------------------------------------------------------------------
 # triangular factors
 
 
@@ -421,7 +357,7 @@ def _geometric_targets(diag_vals, d):
 
 
 def _matched_inverses(alpha, diag_second):
-    """Positive factors sending the second-half diagonal to the multiset
+    """Positive row factors sending the second-half diagonal to the multiset
     {1/alpha_i}: within each sign class, magnitudes are matched rank to
     rank so the row scalings stay as mild as possible."""
     gamma = np.empty_like(diag_second)
@@ -436,7 +372,7 @@ def _matched_inverses(alpha, diag_second):
         inv_by_abs = inv_vals[np.argsort(np.abs(inv_vals))]
         c_by_abs = idx_c[np.argsort(np.abs(diag_second[idx_c]))]
         gamma[c_by_abs] = inv_by_abs
-    return gamma, gamma / diag_second
+    return gamma / diag_second
 
 
 def _inverse_multiset_match(alpha, diag_second, rtol=1e-12):
@@ -448,15 +384,15 @@ def _inverse_multiset_match(alpha, diag_second, rtol=1e-12):
     return bool(np.max(np.abs(want - have)) <= rtol * scale)
 
 
-def triangular_layers(tri, side: str = LOWER) -> DecompositionResult:
+def triangular_layers(tri, side: str = LOWER):
     """Decompose a triangular 2d x 2d matrix with positive determinant into
-    at most 13 coupling matrices.
+    at most 13 coupling matrices; returns (layers, stage_log).
 
     Stages (matrix budget): eliminate the off-diagonal block (1), equalize
     the negative diagonal counts of the two halves with paired sign flips
     (6), rescale the diagonal so the first-half entries are distinct and the
     second half carries their inverses (2), then apply the block-diagonal
-    construction (4).
+    construction (4). ``stage_log`` holds (stage, matrix count) pairs.
     """
     tri = matcore.as_matrix_array(tri)
     n = tri.shape[0]
@@ -528,7 +464,7 @@ def triangular_layers(tri, side: str = LOWER) -> DecompositionResult:
         pass  # already in block-diagonal construction form
     else:
         alpha, f_first = _geometric_targets(diag1[:d], d)
-        _, f_second = _matched_inverses(alpha, diag1[d:])
+        f_second = _matched_inverses(alpha, diag1[d:])
         rescale_layers = [
             LinearCouplingLayer(side=UPPER, dense=np.zeros((d, d)), diag=1.0 / f_first),
             LinearCouplingLayer(side=LOWER, dense=np.zeros((d, d)), diag=1.0 / f_second),
@@ -549,9 +485,7 @@ def triangular_layers(tri, side: str = LOWER) -> DecompositionResult:
     layers += rescale_layers + flip_layers
     seq = sequence(layers, ambient_dim=n)
     assert len(seq) <= TRIANGULAR_BUDGET
-    residual = relative_frobenius(as_matrix(seq), tri)
-    return DecompositionResult(layers=seq, matrix_count=len(seq), residual=float(residual),
-                               stage_log=stage_log)
+    return seq, stage_log
 
 
 # ---------------------------------------------------------------------------
@@ -595,27 +529,26 @@ def decompose(t) -> DecompositionResult:
         seq = perm_seq
         stage_log += [("upper", 0), ("lower", 0)]
     else:
-        p_mat = matcore.permutation_to_matrix(pi_right)
-        sign_fix = p_mat @ p_tilde.T
-        # sign_fix is exactly diagonal +-1 by construction
-        assert np.max(np.abs(sign_fix - np.diag(np.diag(sign_fix)))) == 0.0
-        u2 = u_mid @ sign_fix
+        # p_tilde is the permutation matrix of pi_right up to the sign of
+        # each nonzero entry; t = L U P = L (U S) p_tilde with S = diag(signs)
+        signs = np.empty(n)
+        signs[pi_right] = p_tilde[pi_right, np.arange(n)]
+        u2 = u_mid * signs
         if float(np.prod(np.sign(np.diag(l_left)))) < 0.0:
             l_left[:, 0] = -l_left[:, 0]
             u2[0, :] = -u2[0, :]
 
-        lower_res = triangular_layers(l_left, side=LOWER)
-        upper_res = triangular_layers(u2, side=UPPER)
+        lower_seq, _ = triangular_layers(l_left, side=LOWER)
+        upper_seq, _ = triangular_layers(u2, side=UPPER)
         # apply order: permutation, then upper factor, then lower factor
-        seq = perm_seq + upper_res.layers + lower_res.layers
-        stage_log += [("upper", upper_res.matrix_count), ("lower", lower_res.matrix_count)]
+        seq = perm_seq + upper_seq + lower_seq
+        stage_log += [("upper", len(upper_seq)), ("lower", len(lower_seq))]
 
     residual = relative_frobenius(as_matrix(seq), t)
     if residual > RESIDUAL_WARN_RTOL:
         warnings.append(f"relative residual {residual:.3g} exceeds {RESIDUAL_WARN_RTOL:g}: "
                         "the layers reproduce the target only approximately")
-    result = DecompositionResult(layers=seq, matrix_count=len(seq),
-                                 residual=float(residual), stage_log=stage_log,
+    result = DecompositionResult(layers=seq, residual=float(residual), stage_log=stage_log,
                                  warnings=warnings)
     assert result.matrix_count <= TOTAL_BUDGET
     return result

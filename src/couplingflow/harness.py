@@ -154,7 +154,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
 
 def _check_values(subcommand: str, params: dict) -> None:
     """Ranges the schema types and choices cannot express: every number is
-    positive, except fit_matrices, which is 0 (no fit) or an even count."""
+    positive, except fit_matrices, which is 0 (no fit) or an even count;
+    coupling dimensions are even; plus the per-subcommand limits below."""
     for name, val in params.items():
         if name == "fit_matrices":
             if val < 0 or val % 2:
@@ -162,10 +163,16 @@ def _check_values(subcommand: str, params: dict) -> None:
                                   f"even count, got {val}")
         elif isinstance(val, (int, float)) and not 0 < val < math.inf:
             raise ConfigError(f"parameter {name} must be positive, got {val!r}")
-    if subcommand == "train-pln":
+    if subcommand == "train-pln" or (subcommand == "train-reg" and params["arch"] == "coupling"):
         if params["d"] % 2:
             raise ConfigError(f"parameter d must be even, got {params['d']}")
+    if subcommand == "train-pln":
         _layer_counts(params["layers"])
+    if subcommand == "universal" and params["mode"] == "lattice" and params["eps"] > 1.0:
+        # the lattice schedule eps1 = eps^2/4 <= eps/4 holds only for eps <= 1
+        raise ConfigError(f"parameter eps must be at most 1 in lattice mode, got {params['eps']}")
+    if subcommand == "separation" and params["k"] < 2:
+        raise ConfigError(f"parameter k must be at least 2, got {params['k']}")
 
 
 def _layer_counts(spec: str) -> list:
@@ -245,8 +252,22 @@ def emit_plot_data(jsonl_texts) -> str:
 # subcommand implementations
 
 
+def _read_input(path: str, d=None) -> np.ndarray:
+    """The MAT1 input matrix, square with an even dimension (2d when d is
+    given); a malformed file or a wrong shape is a validation error."""
+    try:
+        t = matcore.read_mat1(path)
+    except ValueError as exc:
+        raise ConfigError(f"input {path}: {exc}") from exc
+    n = t.shape[0] if d is None else 2 * d
+    if t.shape != (n, n) or n % 2:
+        want = "square with an even dimension" if d is None else f"{n} x {n}"
+        raise ConfigError(f"input {path} is {t.shape[0]} x {t.shape[1]}, not {want}")
+    return t
+
+
 def _run_decompose(params, seed, outdir, manifest):
-    t = matcore.read_mat1(params["input"])
+    t = _read_input(params["input"])
     result = decomposer.decompose(t)
     layers_path = os.path.join(outdir, params["layers_name"])
     atomic_write_text(layers_path, coupling.sequence_to_json(result.layers) + "\n")
@@ -263,8 +284,8 @@ def _run_decompose(params, seed, outdir, manifest):
 
 
 def _run_certify(params, seed, outdir, manifest):
-    t = matcore.read_mat1(params["input"])
     d = params["d"]
+    t = _read_input(params["input"], d)
     cert = certificates.certify_not_a4(t, d)
     doc = {
         "verdict": cert.verdict,
@@ -464,7 +485,6 @@ _RUNNERS = {
 def run(config: ExperimentConfig) -> ResultManifest:
     """Validate, dispatch, persist. Outputs land in config.output_dir."""
     config = validate_config(config)
-    os.makedirs(config.output_dir, exist_ok=True)
     digest = json.dumps({"subcommand": config.subcommand, "params": config.params,
                          "seed": config.master_seed}, sort_keys=True)
     manifest = ResultManifest(config_hash=hashlib.sha256(digest.encode()).hexdigest()[:16],

@@ -19,6 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from couplingflow import coupling, matcore
 from couplingflow.coupling import _halves, _join, mlp_backward, mlp_forward, mlp_init
@@ -256,11 +257,7 @@ def make_target_matrix(kind: str, d: int, seed: int) -> np.ndarray:
     if kind == "toeplitz_matrix":
         # one Gaussian value per diagonal, constant along it
         vals = rng.standard_normal(2 * d - 1)
-        t = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                t[i, j] = vals[i - j + d - 1]
-        return t
+        return toeplitz(vals[d - 1:], vals[d - 1::-1])
     if kind == "identity":
         return np.eye(d)
     raise ValueError(f"unknown target kind {kind!r}")

@@ -214,74 +214,29 @@ def test_block_diag_general_dense_m():
 
 
 # ---------------------------------------------------------------------------
-# shears and scalings
-
-
-def test_scaling_layers():
-    seq = dc.shear_and_scale_layers(3, 0, 0, 2.0)
-    assert len(seq) == 1
-    expect = np.eye(6)
-    expect[0, 0] = 2.0
-    assert np.array_equal(cp.as_matrix(seq), expect)
-    seq = dc.shear_and_scale_layers(3, 4, 4, 0.5)
-    expect = np.eye(6)
-    expect[4, 4] = 0.5
-    assert np.array_equal(cp.as_matrix(seq), expect)
-
-
-def test_scaling_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        dc.shear_and_scale_layers(2, 1, 1, 0.0)
-    with pytest.raises(ValueError):
-        dc.shear_and_scale_layers(2, 1, 1, -2.0)
-
-
-def test_cross_partition_shear_single_matrix():
-    seq = dc.shear_and_scale_layers(2, 3, 0, 1.7)
-    assert len(seq) == 1
-    expect = np.eye(4)
-    expect[3, 0] = 1.7
-    assert np.array_equal(cp.as_matrix(seq), expect)
-
-
-def test_within_half_shear_exact():
-    for (i, j) in [(0, 1), (1, 0), (2, 3), (3, 2)]:
-        seq = dc.shear_and_scale_layers(2, i, j, -0.8)
-        expect = np.eye(4)
-        expect[i, j] = -0.8
-        assert np.allclose(cp.as_matrix(seq), expect, atol=1e-14)
-        assert len(seq) <= 4
-
-
-def test_zero_shear_is_identity():
-    seq = dc.shear_and_scale_layers(2, 0, 1, 0.0)
-    assert np.array_equal(cp.as_matrix(seq), np.eye(4))
-
-
-# ---------------------------------------------------------------------------
 # triangular factors
 
 
 def test_triangular_identity():
-    res = dc.triangular_layers(np.eye(8))
-    assert res.matrix_count <= 13
-    assert res.residual <= 1e-12
+    seq, _ = dc.triangular_layers(np.eye(8))
+    assert len(seq) <= 13
+    assert relative_frobenius(cp.as_matrix(seq), np.eye(8)) <= 1e-12
 
 
 def test_triangular_sign_flip_balancing():
     # equal negatives per half: paired flips turn the diagonal all-positive
-    res = dc.triangular_layers(np.diag([-1.0, 2.0, -3.0, 4.0]))
-    stages = dict(res.stage_log)
-    assert stages["signflip"] == 6
-    assert res.residual <= 1e-10
+    tri = np.diag([-1.0, 2.0, -3.0, 4.0])
+    seq, stage_log = dc.triangular_layers(tri)
+    assert dict(stage_log)["signflip"] == 6
+    assert relative_frobenius(cp.as_matrix(seq), tri) <= 1e-10
     # unbalanced negatives get equalized through flips against positives
-    res = dc.triangular_layers(np.diag([-1.0, -2.0, 3.0, 4.0]))
-    stages = dict(res.stage_log)
-    assert stages["signflip"] == 6
-    assert res.residual <= 1e-10
+    tri = np.diag([-1.0, -2.0, 3.0, 4.0])
+    seq, stage_log = dc.triangular_layers(tri)
+    assert dict(stage_log)["signflip"] == 6
+    assert relative_frobenius(cp.as_matrix(seq), tri) <= 1e-10
     # no negatives at all: stage is empty
-    res = dc.triangular_layers(np.diag([1.0, 2.0, 3.0, 4.0]))
-    assert dict(res.stage_log)["signflip"] == 0
+    _, stage_log = dc.triangular_layers(np.diag([1.0, 2.0, 3.0, 4.0]))
+    assert dict(stage_log)["signflip"] == 0
 
 
 def test_triangular_random_lower():
@@ -289,10 +244,11 @@ def test_triangular_random_lower():
     for _ in range(50):
         d = int(rng.integers(1, 9))
         tri = random_triangular(rng, 2 * d, lower=True)
-        res = dc.triangular_layers(tri, side="lower")
-        assert res.matrix_count <= 13
-        assert res.residual <= 1e-8
-        stages = dict(res.stage_log)
+        seq, stage_log = dc.triangular_layers(tri, side="lower")
+        assert len(seq) <= 13
+        assert relative_frobenius(cp.as_matrix(seq), tri) <= 1e-8
+        stages = dict(stage_log)
+        assert sum(stages.values()) == len(seq)
         assert stages["eliminate"] <= 1 and stages["signflip"] in (0, 6)
         assert stages["rescale"] in (0, 2) and stages["blockdiag"] == 4
 
@@ -302,9 +258,9 @@ def test_triangular_random_upper():
     for _ in range(50):
         d = int(rng.integers(1, 9))
         tri = random_triangular(rng, 2 * d, lower=False)
-        res = dc.triangular_layers(tri, side="upper")
-        assert res.matrix_count <= 13
-        assert res.residual <= 1e-8
+        seq, _ = dc.triangular_layers(tri, side="upper")
+        assert len(seq) <= 13
+        assert relative_frobenius(cp.as_matrix(seq), tri) <= 1e-8
 
 
 def test_triangular_rejects_bad_inputs():
@@ -374,14 +330,30 @@ def test_decompose_no_warning_when_accurate():
     assert res.warnings == []
 
 
+def test_decompose_forms_two_layer_products(monkeypatch):
+    # one product for the permutation stage, one for the final residual
+    calls = []
+
+    def counting_as_matrix(seq):
+        calls.append(len(seq))
+        return cp.as_matrix(seq)
+
+    monkeypatch.setattr(dc, "as_matrix", counting_as_matrix)
+    rng = np.random.default_rng(17)
+    res = dc.decompose(random_positive_det(rng, 16, max_cond=1e4))
+    assert len(calls) <= 2
+    assert calls[-1] == res.matrix_count == len(res.layers)
+    assert res.residual <= dc.RESIDUAL_WARN_RTOL
+
+
 def test_verify_exact_and_closed_form():
     rng = np.random.default_rng(7)
     t = random_positive_det(rng, 4)
     res = dc.decompose(t)
     assert dc.verify(res, t) <= 1e-10
     # identity layers against 2I: residual is exactly 1/2
-    empty = dc.DecompositionResult(layers=cp.sequence([], ambient_dim=4), matrix_count=0,
-                                   residual=0.0, stage_log=[])
+    empty = dc.DecompositionResult(layers=cp.sequence([], ambient_dim=4), residual=0.0,
+                                   stage_log=[])
     assert abs(dc.verify(empty, 2 * np.eye(4)) - 0.5) <= 1e-14
 
 
@@ -395,8 +367,7 @@ def test_verify_perturbation_sensitivity():
     bumped_dense[0, 0] += 1e-6
     bumped = cp.LinearCouplingLayer(side=layer.side, dense=bumped_dense, diag=layer.diag)
     seq = cp.sequence([bumped] + list(res.layers.layers[1:]), ambient_dim=4)
-    res2 = dc.DecompositionResult(layers=seq, matrix_count=res.matrix_count,
-                                  residual=0.0, stage_log=[])
+    res2 = dc.DecompositionResult(layers=seq, residual=0.0, stage_log=[])
     moved = dc.verify(res2, t)
     assert 1e-9 <= abs(moved - base) <= 1e-3
 

@@ -170,13 +170,23 @@ def test_train_pln_cli_smoke(tmp_path):
     ["universal", "--mode", "lattice", "--samples", "0"],
     ["universal", "--mode", "padded", "--truncation", "-1"],
     ["separation", "--samples", "0"],
+    ["universal", "--mode", "lattice", "--eps", "2"],
+    ["separation", "--k", "1"],
+    ["train-reg", "--d", "5"],
+    ["decompose", "--input", "odd.mat"],
+    ["decompose", "--input", "wide.mat"],
+    ["certify", "--input", "hard.mat", "--d", "3"],
+    ["decompose", "--input", "garbled.mat"],
 ])
 def test_cli_rejects_bad_values_before_running(tmp_path, capsys, args):
     from couplingflow import certificates
-    if args[0] == "certify":
-        mat_path = tmp_path / "hard.mat"
-        matcore.write_mat1(mat_path, certificates.hard_instance(4, np.arange(1.0, 5.0)))
-        args = args + ["--input", str(mat_path), "--d", "4"]
+    matcore.write_mat1(tmp_path / "hard.mat", certificates.hard_instance(4, np.arange(1.0, 5.0)))
+    matcore.write_mat1(tmp_path / "odd.mat", np.eye(3))
+    matcore.write_mat1(tmp_path / "wide.mat", np.ones((4, 6)))
+    (tmp_path / "garbled.mat").write_text("not a matrix\n")
+    if args[0] == "certify" and "--input" not in args:
+        args = args + ["--input", "hard.mat", "--d", "4"]
+    args = [str(tmp_path / a) if a.endswith(".mat") else a for a in args]
     outdir = tmp_path / "out"
     assert harness.main(["--out", str(outdir)] + args) == 1
     assert "validation error" in capsys.readouterr().err

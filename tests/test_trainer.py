@@ -119,6 +119,9 @@ def test_toeplitz_target_structure():
     for k in range(-5, 6):
         diag = np.diagonal(t, offset=k)
         assert np.all(diag == diag[0])
+    # entry (i, j) is value i - j + d - 1 of the target stream, as a loop builds it
+    vals = stream(9, "pln-target", "toeplitz_matrix", 6).standard_normal(11)
+    assert all(t[i, j] == vals[i - j + 5] for i in range(6) for j in range(6))
     # distribution is seed-deterministic
     assert np.array_equal(t, tr.make_target_matrix("toeplitz_matrix", 6, seed=9))
 
