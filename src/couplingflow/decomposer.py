@@ -98,47 +98,29 @@ def signed_swap_layers(d: int, pairs) -> LayerSequence:
 def order2_factor(pi):
     """Split a permutation into two involutions with sigma2 o sigma1 = pi.
 
-    Works cycle by cycle: a cycle (e_1 ... e_r) factors through the pair of
-    reflections sigma1 = (1 2)(3 r)(4 r-1)... and sigma2 = (1 3)(4 r)(5 r-1)...
+    Works cycle by cycle: on the positions k = 0..r-1 of a cycle
+    (e_0 ... e_{r-1}), sigma1 and sigma2 are the reflections k -> 1 - k and
+    k -> 2 - k (mod r), whose product is the rotation k -> k + 1. A
+    transposition is sigma2 alone.
     """
     pi = matcore.check_permutation(pi)
     n = pi.shape[0]
     sigma1 = np.arange(n, dtype=np.int64)
     sigma2 = np.arange(n, dtype=np.int64)
     for cyc in matcore.permutation_cycles(pi):
+        cyc = np.array(cyc)
         r = len(cyc)
         if r == 2:
-            sigma2[cyc[0]], sigma2[cyc[1]] = cyc[1], cyc[0]
+            sigma2[cyc] = cyc[::-1]
             continue
-
-        def s1(s):  # 1-indexed positions within the cycle
-            if s == 1:
-                return 2
-            if s == 2:
-                return 1
-            return r + 3 - s
-
-        def s2(s):
-            if s == 1:
-                return 3
-            if s == 2:
-                return 2
-            if s == 3:
-                return 1
-            return r + 4 - s
-
-        for s in range(1, r + 1):
-            sigma1[cyc[s - 1]] = cyc[s1(s) - 1]
-            sigma2[cyc[s - 1]] = cyc[s2(s) - 1]
+        k = np.arange(r)
+        sigma1[cyc] = cyc[(1 - k) % r]
+        sigma2[cyc] = cyc[(2 - k) % r]
     return sigma1, sigma2
 
 
 # ---------------------------------------------------------------------------
 # permutations as coupling products
-
-
-def _involution_transpositions(sigma):
-    return [tuple(c) for c in matcore.permutation_cycles(sigma) if len(c) == 2]
 
 
 def _involution_rounds(sigma, d):
@@ -150,7 +132,7 @@ def _involution_rounds(sigma, d):
     two halves (two rounds, no storage) or routed through a storage
     coordinate in the opposite half (three rounds).
     """
-    trans = _involution_transpositions(sigma)
+    trans = [tuple(c) for c in matcore.permutation_cycles(sigma) if len(c) == 2]
     left = [t for t in trans if t[0] < d and t[1] < d]
     right = [(a - d, b - d) for a, b in trans if a >= d and b >= d]
     if len(left) + len(right) != len(trans):
@@ -162,26 +144,17 @@ def _involution_rounds(sigma, d):
         rounds[0] += [(i1, j1), (i2, j2)]
         rounds[1] += [(i1, j2), (i2, j1)]
 
-    if len(left) > npair:
-        used_r = {j for pair in right for j in pair}
-        free_r = [j for j in range(d) if j not in used_r]
-        extra = left[npair:]
-        if len(extra) > len(free_r):
-            raise RuntimeError("no storage coordinates available")  # impossible
-        for (i1, i2), s in zip(extra, free_r):
-            rounds[0].append((i1, s))
-            rounds[1].append((i2, s))
-            rounds[2].append((i1, s))
-    elif len(right) > npair:
-        used_l = {i for pair in left for i in pair}
-        free_l = [i for i in range(d) if i not in used_l]
-        extra = right[npair:]
-        if len(extra) > len(free_l):
-            raise RuntimeError("no storage coordinates available")  # impossible
-        for (j1, j2), u in zip(extra, free_l):
-            rounds[0].append((u, j1))
-            rounds[1].append((u, j2))
-            rounds[2].append((u, j1))
+    # the surplus half routes each leftover transposition through a free
+    # coordinate of the other half; pairs stay (first half, second half)
+    surplus_left = len(left) > npair
+    extra, other = (left, right) if surplus_left else (right, left)
+    used = {k for pair in other for k in pair}
+    free = [k for k in range(d) if k not in used]
+    if len(extra) - npair > len(free):
+        raise RuntimeError("no storage coordinates available")  # impossible
+    for (e1, e2), f in zip(extra[npair:], free):
+        for rnd, e in zip(rounds, (e1, e2, e1)):
+            rnd.append((e, f) if surplus_left else (f, e))
     return [r for r in rounds if r]
 
 
@@ -225,33 +198,32 @@ def permutation_layers(p) -> LayerSequence:
 # block-diagonal construction
 
 
-def _eigvec_matrix(a, eig_order, min_gap):
-    """Eigenvector matrix of ``a`` with columns following ``eig_order``
-    (a sorted array of the eigenvalues of ``a``)."""
-    a = matcore.as_matrix_array(a)
-    n = a.shape[0]
-    is_lower = np.max(np.abs(np.triu(a, 1))) == 0.0 if n > 1 else True
-    is_upper = np.max(np.abs(np.tril(a, -1))) == 0.0 if n > 1 else True
-    if is_lower or is_upper:
-        v = matcore.triangular_eigvecs(a, min_gap=min_gap, upper=(is_upper and not is_lower))
-        v = v / np.linalg.norm(v, axis=0, keepdims=True)
-        order = np.argsort(np.diag(a))
-        return v[:, order]
-    # general case: null vector of (a - lambda I) per eigenvalue
-    cols = []
-    for lam in eig_order:
-        _, _, vh = np.linalg.svd(a - lam * np.eye(n))
-        null = vh[-1]
-        cols.append(null / null[np.argmax(np.abs(null))])
-    return np.column_stack(cols)
+def _is_lower(a):
+    """True for a lower-triangular (or diagonal) matrix, False for an
+    upper-triangular one; ValueError for any other."""
+    if not np.any(np.triu(a, 1)):
+        return True
+    if not np.any(np.tril(a, -1)):
+        return False
+    raise ValueError("matrix is neither lower nor upper triangular")
+
+
+def _eigvec_matrix(a, lower, min_gap):
+    """Unit-norm eigenvector matrix of triangular ``a`` (``lower`` or
+    upper), columns in ascending order of the diagonal."""
+    v = matcore.triangular_eigvecs(a, min_gap=min_gap, upper=not lower)
+    v = v / np.linalg.norm(v, axis=0, keepdims=True)
+    return v[:, np.argsort(np.diag(a))]
 
 
 def block_diag_layers(m, s, min_gap: float = 1e-8) -> LayerSequence:
     """Four coupling matrices whose product is blockdiag(m, s).
 
-    Requires ``m`` invertible with distinct real eigenvalues and ``s``
-    triangular with the eigenvalues of m^{-1}. With eigendecompositions
-    s = U X U^{-1} and m^{-1} = V X V^{-1} (same diagonal X), the product
+    Requires ``m`` and ``s`` triangular (each lower or upper), ``m`` with
+    distinct nonzero diagonal entries and ``s`` with their inverses on its
+    diagonal, so both spectra are read off the diagonals. With
+    eigendecompositions s = U X U^{-1} and m^{-1} = V X V^{-1} (same
+    diagonal X), the product
 
         [I 0; A I][I D; 0 I][I 0; E I][I H; 0 I]
 
@@ -263,14 +235,12 @@ def block_diag_layers(m, s, min_gap: float = 1e-8) -> LayerSequence:
     n = m.shape[0]
     if m.shape != s.shape or m.shape[0] != m.shape[1]:
         raise ValueError("m and s must be square with equal shape")
+    m_lower, s_lower = _is_lower(m), _is_lower(s)
 
-    lam = matcore.eig(m)
+    lam = np.sort(np.diag(m))
     radius = matcore.spectral_radius(lam)
     if radius == 0.0:
         raise SingularMatrixError("m is singular")
-    if np.max(np.abs(lam.imag)) > 1e-9 * radius:
-        raise EigGapTooSmallError("m has non-real eigenvalues")
-    lam = np.sort(lam.real)
     if n > 1 and np.min(np.diff(lam)) < min_gap:
         raise EigGapTooSmallError(
             f"eigenvalue gap {np.min(np.diff(lam)):g} below min_gap {min_gap:g}")
@@ -278,19 +248,13 @@ def block_diag_layers(m, s, min_gap: float = 1e-8) -> LayerSequence:
         raise SingularMatrixError("m has an eigenvalue at zero")
 
     target = np.sort(1.0 / lam)
-    s_eigs = np.sort(matcore.eig(s).real)
-    if np.max(np.abs(s_eigs - target)) > 1e-6 * max(1.0, np.max(np.abs(target))):
+    if np.max(np.abs(np.sort(np.diag(s)) - target)) > 1e-6 * max(1.0, np.max(np.abs(target))):
         raise ValueError("s does not carry the eigenvalues of m^{-1}")
 
-    is_lower = n == 1 or np.max(np.abs(np.triu(m, 1))) == 0.0
-    is_upper = n == 1 or np.max(np.abs(np.tril(m, -1))) == 0.0
-    if is_lower or is_upper:
-        m_inv = matcore.triangular_inverse(m, lower=is_lower)
-    else:
-        m_inv = matcore.inv(m)
+    m_inv = matcore.triangular_inverse(m, lower=m_lower)
     gap_floor = min(min_gap, 0.5 * float(np.min(np.diff(target))) if n > 1 else min_gap)
-    v = _eigvec_matrix(m_inv, target, gap_floor)
-    u = _eigvec_matrix(s, target, gap_floor)
+    v = _eigvec_matrix(m_inv, m_lower, gap_floor)
+    u = _eigvec_matrix(s, s_lower, gap_floor)
     a_blk = u @ matcore.inv(v)
     e_blk = -a_blk @ m
     e_inv = matcore.inv(e_blk)
@@ -326,14 +290,12 @@ def _sign_flip_pairs(diag_first, diag_second):
         raise ValueError("negative counts differ in parity; determinant not positive")
     m0 = min(len(neg1), len(neg2))
     pairs = list(zip(neg1[:m0], neg2[:m0]))
-    if len(neg1) > m0:
-        pos2 = [int(k) for k in np.flatnonzero(diag_second >= 0)]
-        extra = (len(neg1) - m0) // 2
-        pairs += list(zip(neg1[m0 : m0 + extra], pos2[:extra]))
-    elif len(neg2) > m0:
-        pos1 = [int(k) for k in np.flatnonzero(diag_first >= 0)]
-        extra = (len(neg2) - m0) // 2
-        pairs += list(zip(pos1[:extra], neg2[m0 : m0 + extra]))
+    surplus_first = len(neg1) > m0
+    negs, other = (neg1, diag_second) if surplus_first else (neg2, diag_first)
+    extra = (len(negs) - m0) // 2
+    moved = negs[m0 : m0 + extra]
+    pos = [int(k) for k in np.flatnonzero(other >= 0)][:extra]
+    pairs += list(zip(moved, pos) if surplus_first else zip(pos, moved))
     return pairs
 
 
@@ -402,41 +364,28 @@ def triangular_layers(tri, side: str = LOWER):
     diag = np.diag(tri)
     if np.any(diag == 0.0):
         raise SingularMatrixError("zero diagonal entry in triangular factor")
-    if side == LOWER:
-        if np.max(np.abs(np.triu(tri, 1))) != 0.0:
-            raise ValueError("matrix is not lower triangular")
-    elif side == UPPER:
-        if np.max(np.abs(np.tril(tri, -1))) != 0.0:
-            raise ValueError("matrix is not upper triangular")
-    else:
+    if side not in (LOWER, UPPER):
         raise ValueError(f"side must be lower/upper, got {side!r}")
+    if np.any(np.triu(tri if side == LOWER else tri.T, 1)):
+        raise ValueError(f"matrix is not {side} triangular")
     if float(np.prod(np.sign(diag))) < 0.0:
         raise NegativeDeterminantError("triangular factor has negative determinant")
 
     stage_log = []
     ones = np.ones(d)
+    # the layer on ``side`` keeps one half of the coordinates and updates
+    # the other, as coupling._halves splits them
+    kept, upd = (slice(0, d), slice(d, n)) if side == LOWER else (slice(d, n), slice(0, d))
 
     # stage 1: eliminate the off-diagonal block
-    if side == LOWER:
-        off = tri[d:, :d]
-    else:
-        off = tri[:d, d:]
+    off = tri[upd, kept]
     elim_layers = []
     g0 = tri
-    if np.max(np.abs(off)) != 0.0:
-        if side == LOWER:
-            c_blk = tri[d:, d:]
-            x = matcore.triangular_solve(c_blk, off, lower=True)
-            elim_layers = [LinearCouplingLayer(side=LOWER, dense=x, diag=ones.copy())]
-        else:
-            a_blk = tri[:d, :d]
-            x = matcore.triangular_solve(a_blk, off, lower=False)
-            elim_layers = [LinearCouplingLayer(side=UPPER, dense=x, diag=ones.copy())]
+    if np.any(off):
+        x = matcore.triangular_solve(tri[upd, upd], off, lower=side == LOWER)
+        elim_layers = [LinearCouplingLayer(side=side, dense=x, diag=ones.copy())]
         g0 = tri.copy()
-        if side == LOWER:
-            g0[d:, :d] = 0.0
-        else:
-            g0[:d, d:] = 0.0
+        g0[upd, kept] = 0.0
     stage_log.append(("eliminate", len(elim_layers)))
 
     # stage 2: sign flips to equalize negative counts across the halves

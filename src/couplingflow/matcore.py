@@ -65,25 +65,6 @@ def invert_permutation(p) -> np.ndarray:
     return inv
 
 
-def permutation_sign(p) -> int:
-    """Sign of the permutation via cycle parity."""
-    p = np.asarray(p, dtype=np.int64)
-    seen = np.zeros(p.shape[0], dtype=bool)
-    sign = 1
-    for start in range(p.shape[0]):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def permutation_cycles(p) -> list:
     """Cycles of length >= 2, each as a list [e, p[e], p[p[e]], ...]."""
     p = np.asarray(p, dtype=np.int64)
@@ -248,19 +229,17 @@ def triangular_eigvecs(a, min_gap: float = 1e-8, upper: bool = False) -> np.ndar
     a @ V = V @ diag(a_00, ..., a_nn), computed column by column with one
     triangular solve of (a - a_ii I) v = 0 per column.
 
-    ``upper=True`` accepts an upper-triangular input (handled by index
-    reversal, which turns it lower-triangular).
+    ``upper=True`` accepts an upper-triangular input: reversing the indices
+    turns it lower-triangular, and the result is reversed back.
     """
     a = as_matrix_array(a)
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
     if upper:
-        rev = np.arange(n - 1, -1, -1)
-        v = triangular_eigvecs(a[np.ix_(rev, rev)], min_gap=min_gap)
-        return v[np.ix_(rev, rev)]
+        a = a[::-1, ::-1]
     if np.max(np.abs(np.triu(a, 1))) > 0:
-        raise ValueError("matrix is not lower triangular")
+        raise ValueError(f"matrix is not {'upper' if upper else 'lower'} triangular")
     d = np.diag(a)
     if n > 1:
         diffs = np.abs(d[:, None] - d[None, :])
@@ -274,7 +253,7 @@ def triangular_eigvecs(a, min_gap: float = 1e-8, upper: bool = False) -> np.ndar
         # diagonal d_j - d_i is at least the checked gap away from zero
         shifted = a[i + 1 :, i + 1 :] - d[i] * np.eye(n - i - 1)
         v[i + 1 :, i] = _trsm(shifted, -a[i + 1 :, i], lower=True)
-    return v
+    return np.ascontiguousarray(v[::-1, ::-1]) if upper else v
 
 
 # ---------------------------------------------------------------------------

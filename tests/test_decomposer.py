@@ -199,18 +199,24 @@ def test_block_diag_eigenvalue_mismatch_rejected():
         dc.block_diag_layers(np.diag([2.0, 3.0]), np.diag([0.5, 0.25]))
 
 
-def test_block_diag_general_dense_m():
-    # non-triangular m with known real spectrum exercises the null-vector path
-    rng = np.random.default_rng(3)
-    lam = np.array([0.5, 1.0, 2.0, -1.5])
-    basis = rng.standard_normal((4, 4)) + 3 * np.eye(4)
-    m = basis @ np.diag(lam) @ np.linalg.inv(basis)
-    s = np.tril(0.2 * rng.standard_normal((4, 4)), -1) + np.diag(1.0 / lam)
-    seq = dc.block_diag_layers(m, s, min_gap=1e-3)
-    target = np.zeros((8, 8))
-    target[:4, :4] = m
-    target[4:, 4:] = s
-    assert relative_frobenius(cp.as_matrix(seq), target) <= 1e-8
+# B diag(2, 3) B^{-1} and B diag(1/2, 1/3) B^{-1} with B = [[1, 1], [1, 2]]:
+# dense blocks whose spectra would otherwise satisfy the construction
+_DENSE_M = np.array([[1.0, 1.0], [-2.0, 4.0]])
+_DENSE_S = np.array([[2.0, -0.5], [1.0, 0.5]]) / 3.0
+
+
+@pytest.mark.parametrize("m, s, error", [
+    pytest.param(_DENSE_M, np.diag([0.5, 1.0 / 3.0]), ValueError, id="dense-m"),
+    pytest.param(np.diag([2.0, 3.0]), _DENSE_S, ValueError, id="dense-s"),
+    pytest.param(np.eye(3), np.eye(3), EigGapTooSmallError, id="identity"),
+    pytest.param(np.diag([0.0, 1.0, 2.0]), np.diag([1.0, 1.0, 0.5]), SingularMatrixError,
+                 id="zero-diagonal"),
+    pytest.param(np.diag([2.0, 4.0]), np.diag([0.5, 0.3]), ValueError, id="no-inverse-spectrum"),
+    pytest.param(np.zeros((0, 0)), np.zeros((0, 0)), SingularMatrixError, id="empty"),
+])
+def test_block_diag_refusals(m, s, error):
+    with pytest.raises(error):
+        dc.block_diag_layers(m, s)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +350,21 @@ def test_decompose_forms_two_layer_products(monkeypatch):
     assert len(calls) <= 2
     assert calls[-1] == res.matrix_count == len(res.layers)
     assert res.residual <= dc.RESIDUAL_WARN_RTOL
+
+
+def test_decompose_calls_no_eigen_solver(monkeypatch):
+    # every block the construction meets is triangular: its spectrum is its diagonal
+    calls, eig = [], mc.eig
+
+    def counting_eig(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(dc.matcore, "eig", counting_eig)
+    rng = np.random.default_rng(19)
+    res = dc.decompose(random_positive_det(rng, 16, max_cond=1e4))
+    assert res.residual <= dc.RESIDUAL_WARN_RTOL
+    assert calls == []
 
 
 def test_verify_exact_and_closed_form():
