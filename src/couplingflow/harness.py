@@ -1,8 +1,10 @@
 """Command-line harness: configuration, seeding, dispatch, persistence.
 
-Every subcommand validates its parameters before any computation, derives
-all randomness from the master seed through named Philox streams, and
-writes outputs atomically (temp file + rename) into the output directory.
+Every subcommand validates its parameters before any computation and
+derives all randomness from the master seed through named Philox streams.
+Each runner returns its outputs as {key: (file name, content)}; ``run`` is
+the only code that writes them, atomically (temp file + rename) into the
+output directory, and lists them under their keys in ``manifest.json``.
 Structured reports are JSON, time series are JSONL/CSV, matrices are MAT1
 text. Exit codes: 0 success, 1 validation error, 2 numeric failure.
 """
@@ -17,7 +19,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,73 +55,66 @@ class ExperimentConfig:
     output_dir: str = "."
 
 
-@dataclass
-class ResultManifest:
-    config_hash: str
-    version: str
-    files: dict = field(default_factory=dict)
-    durations: dict = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
-# parameter schemas: name -> (type, default, allowed-or-None, required)
+# parameter schemas: name -> (type, default, allowed-or-None); a None default
+# marks a required parameter
 
 _SCHEMAS = {
     "decompose": {
-        "input": (str, None, None, True),
-        "layers_name": (str, "layers.json", None, False),
-        "report_name": (str, "report.json", None, False),
+        "input": (str, None, None),
+        "layers_name": (str, "layers.json", None),
+        "report_name": (str, "report.json", None),
     },
     "certify": {
-        "input": (str, None, None, True),
-        "d": (int, None, None, True),
-        "fit_matrices": (int, 0, None, False),
-        "restarts": (int, 3, None, False),
-        "fit_steps": (int, 4000, None, False),
+        "input": (str, None, None),
+        "d": (int, None, None),
+        "fit_matrices": (int, 0, None),
+        "restarts": (int, 3, None),
+        "fit_steps": (int, 4000, None),
     },
     "universal": {
-        "mode": (str, None, ("padded", "lattice"), True),
-        "target": (str, "affine", None, False),
-        "dim": (int, 2, None, False),
-        "eps": (float, 0.25, None, False),
-        "samples": (int, 2048, None, False),
-        "truncation": (float, 6.0, None, False),
+        "mode": (str, None, ("padded", "lattice")),
+        "target": (str, "affine", None),
+        "dim": (int, 2, None),
+        "eps": (float, 0.25, None),
+        "samples": (int, 2048, None),
+        "truncation": (float, 6.0, None),
     },
     "separation": {
-        "d": (int, 16, None, False),
-        "k": (int, 8, None, False),
-        "gamma": (float, 1.0, None, False),
-        "eps": (float, 0.5, None, False),
-        "samples": (int, 4096, None, False),
+        "d": (int, 16, None),
+        "k": (int, 8, None),
+        "gamma": (float, 1.0, None),
+        "eps": (float, 0.5, None),
+        "samples": (int, 4096, None),
     },
     "train-pln": {
-        "d": (int, 16, None, False),
-        "layers": (str, "1,2,4,8", None, False),
-        "target": (str, "gaussian", ("gaussian", "toeplitz"), False),
-        "seeds": (int, 5, None, False),
-        "steps": (int, 20000, None, False),
-        "lr": (float, 1e-4, None, False),
-        "batch_size": (int, 256, None, False),
+        "d": (int, 16, None),
+        "layers": (str, "1,2,4,8", None),
+        "target": (str, "gaussian", ("gaussian", "toeplitz")),
+        "seeds": (int, 5, None),
+        "steps": (int, 20000, None),
+        "lr": (float, 1e-4, None),
+        "batch_size": (int, 256, None),
     },
     "train-reg": {
-        "d": (int, 10, None, False),
-        "target": (str, "tanh", ("tanh", "relu", "linear"), False),
-        "arch": (str, "coupling", ("coupling", "mlp"), False),
-        "steps": (int, 4000, None, False),
-        "lr": (float, 1e-3, None, False),
-        "batch_size": (int, 128, None, False),
+        "d": (int, 10, None),
+        "target": (str, "tanh", ("tanh", "relu", "linear")),
+        "arch": (str, "coupling", ("coupling", "mlp")),
+        "steps": (int, 4000, None),
+        "lr": (float, 1e-3, None),
+        "batch_size": (int, 128, None),
     },
     "train-mle": {
         "dataset": (str, "four_gaussians",
-                    ("gaussian", "four_gaussians", "swissroll", "two_moons", "checkerboard"), False),
-        "padding": (str, "none", ("none", "zero", "gaussian"), False),
-        "steps": (int, 3000, None, False),
-        "lr": (float, 1e-3, None, False),
-        "batch_size": (int, 128, None, False),
+                    ("gaussian", "four_gaussians", "swissroll", "two_moons", "checkerboard")),
+        "padding": (str, "none", ("none", "zero", "gaussian")),
+        "steps": (int, 3000, None),
+        "lr": (float, 1e-3, None),
+        "batch_size": (int, 128, None),
     },
     "plot-data": {
-        "records": (str, None, None, True),  # comma-separated JSONL paths
-        "csv_name": (str, "plot_data.csv", None, False),
+        "records": (str, None, None),  # comma-separated JSONL paths
+        "csv_name": (str, "plot_data.csv", None),
     },
 }
 
@@ -132,13 +127,13 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown parameters for {config.subcommand}: {sorted(unknown)}")
     cleaned = {}
-    for name, (typ, default, allowed, required) in schema.items():
+    for name, (typ, default, allowed) in schema.items():
         if name in config.params and config.params[name] is not None:
             try:
                 val = typ(config.params[name])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"parameter {name}: {exc}") from exc
-        elif required:
+        elif default is None:
             raise ConfigError(f"missing required parameter {name!r}")
         else:
             val = default
@@ -266,24 +261,22 @@ def _read_input(path: str, d=None) -> np.ndarray:
     return t
 
 
-def _run_decompose(params, seed, outdir, manifest):
+def _run_decompose(params, seed):
     t = _read_input(params["input"])
     result = decomposer.decompose(t)
-    layers_path = os.path.join(outdir, params["layers_name"])
-    atomic_write_text(layers_path, coupling.sequence_to_json(result.layers) + "\n")
-    report_path = os.path.join(outdir, params["report_name"])
-    write_json(report_path, {
-        "matrix_count": result.matrix_count,
-        "layer_pair_count": result.layer_pair_count,
-        "residual": result.residual,
-        "stage_log": result.stage_log,
-        "warnings": result.warnings,
-    })
-    manifest.files["layers"] = layers_path
-    manifest.files["report"] = report_path
+    return {
+        "layers": (params["layers_name"], coupling.sequence_to_json(result.layers) + "\n"),
+        "report": (params["report_name"], {
+            "matrix_count": result.matrix_count,
+            "layer_pair_count": result.layer_pair_count,
+            "residual": result.residual,
+            "stage_log": result.stage_log,
+            "warnings": result.warnings,
+        }),
+    }
 
 
-def _run_certify(params, seed, outdir, manifest):
+def _run_certify(params, seed):
     d = params["d"]
     t = _read_input(params["input"], d)
     cert = certificates.certify_not_a4(t, d)
@@ -300,9 +293,7 @@ def _run_certify(params, seed, outdir, manifest):
         doc["fit_residual"] = certificates.falsify_by_fit(
             t, params["fit_matrices"], params["restarts"], config)
         doc["fit_matrices"] = params["fit_matrices"]
-    path = os.path.join(outdir, "certificate.json")
-    write_json(path, doc)
-    manifest.files["certificate"] = path
+    return {"certificate": ("certificate.json", doc)}
 
 
 def _affine_target(dim: int):
@@ -325,7 +316,7 @@ def _load_target(spec_str: str, dim: int):
     raise ConfigError(f"unknown target {spec_str!r}")
 
 
-def _run_universal(params, seed, outdir, manifest):
+def _run_universal(params, seed):
     n_samples = params["samples"]
     eps = params["eps"]
     if params["mode"] == "padded":
@@ -343,21 +334,17 @@ def _run_universal(params, seed, outdir, manifest):
     reference = universal.reference_pushforward(net, inputs)
     plan = metrics.empirical_wasserstein(pushed, reference, metrics.W2)
 
-    samples_path = os.path.join(outdir, "samples.csv")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"x{i}" for i in range(pushed.shape[1])])
     for row in pushed:
         writer.writerow([repr(float(v)) for v in row])
-    atomic_write_text(samples_path, buf.getvalue())
-    metrics_path = os.path.join(outdir, "metrics.json")
-    write_json(metrics_path, dict(schedule, empirical_w2=plan.cost, samples=n_samples,
-                                  seed=seed))
-    manifest.files["samples"] = samples_path
-    manifest.files["metrics"] = metrics_path
+    return {"samples": ("samples.csv", buf.getvalue()),
+            "metrics": ("metrics.json", dict(schedule, empirical_w2=plan.cost,
+                                             samples=n_samples, seed=seed))}
 
 
-def _run_separation(params, seed, outdir, manifest):
+def _run_separation(params, seed):
     d, k = params["d"], params["k"]
     gamma, eps = params["gamma"], params["eps"]
     n = params["samples"]
@@ -398,12 +385,16 @@ def _run_separation(params, seed, outdir, manifest):
         "epsnet_log_size": sep.epsnet_log_size(bounds, eps),
         "kl_lower_bound": sep.kl_lower_bound(witness or 0.0, bounds.c2),
     }
-    path = os.path.join(outdir, "report.json")
-    write_json(path, report)
-    manifest.files["report"] = path
+    return {"report": ("report.json", report)}
 
 
-def _run_train_pln(params, seed, outdir, manifest):
+def _training_outputs(prefix, jsonl_text, summary):
+    """The records/summary pair every training subcommand writes."""
+    return {"records": (f"{prefix}_records.jsonl", jsonl_text),
+            "summary": (f"{prefix}_summary.json", summary)}
+
+
+def _run_train_pln(params, seed):
     config = trainer.TrainConfig(lr=params["lr"], steps=params["steps"],
                                  batch_size=params["batch_size"],
                                  target_kind=params["target"] + "_matrix")
@@ -421,15 +412,10 @@ def _run_train_pln(params, seed, outdir, manifest):
             "median_frobenius_error": float(np.median(finals)),
             "finals": finals,
         }
-    jsonl_path = os.path.join(outdir, "pln_records.jsonl")
-    atomic_write_text(jsonl_path, "".join(texts))
-    summary_path = os.path.join(outdir, "pln_summary.json")
-    write_json(summary_path, summary)
-    manifest.files["records"] = jsonl_path
-    manifest.files["summary"] = summary_path
+    return _training_outputs("pln", "".join(texts), summary)
 
 
-def _run_train_reg(params, seed, outdir, manifest):
+def _run_train_reg(params, seed):
     config = trainer.TrainConfig(lr=params["lr"], steps=params["steps"],
                                  batch_size=params["batch_size"])
     target = {"tanh": "elementwise_tanh", "relu": "elementwise_relu",
@@ -438,36 +424,25 @@ def _run_train_reg(params, seed, outdir, manifest):
     record = trainer.train_coupling_regression(config, params["d"], target, arch, seed)
     meta = {"experiment": "train-reg", "d": params["d"],
             "variant": f"{params['target']}/{params['arch']}"}
-    jsonl_path = os.path.join(outdir, "reg_records.jsonl")
-    atomic_write_text(jsonl_path, record_jsonl(record, meta))
-    summary_path = os.path.join(outdir, "reg_summary.json")
-    write_json(summary_path, {"final": record.final})
-    manifest.files["records"] = jsonl_path
-    manifest.files["summary"] = summary_path
+    return _training_outputs("reg", record_jsonl(record, meta), {"final": record.final})
 
 
-def _run_train_mle(params, seed, outdir, manifest):
+def _run_train_mle(params, seed):
     config = trainer.TrainConfig(lr=params["lr"], steps=params["steps"],
                                  batch_size=params["batch_size"])
     record = trainer.train_nvp_mle(params["dataset"], params["padding"], config, seed)
     meta = {"experiment": "train-mle", "d": 2 if params["padding"] == "none" else 4,
             "variant": f"{params['dataset']}/{params['padding']}"}
-    jsonl_path = os.path.join(outdir, "mle_records.jsonl")
-    atomic_write_text(jsonl_path, record_jsonl(record, meta))
-    summary_path = os.path.join(outdir, "mle_summary.json")
-    write_json(summary_path, {"final": record.final, "notes": record.notes})
-    manifest.files["records"] = jsonl_path
-    manifest.files["summary"] = summary_path
+    return _training_outputs("mle", record_jsonl(record, meta),
+                             {"final": record.final, "notes": record.notes})
 
 
-def _run_plot_data(params, seed, outdir, manifest):
+def _run_plot_data(params, seed):
     texts = []
     for path in params["records"].split(","):
         with open(path) as fh:
             texts.append(fh.read())
-    csv_path = os.path.join(outdir, params["csv_name"])
-    atomic_write_text(csv_path, emit_plot_data(texts))
-    manifest.files["csv"] = csv_path
+    return {"csv": (params["csv_name"], emit_plot_data(texts))}
 
 
 _RUNNERS = {
@@ -482,24 +457,24 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> ResultManifest:
-    """Validate, dispatch, persist. Outputs land in config.output_dir."""
+def run(config: ExperimentConfig) -> dict:
+    """Validate, dispatch, persist: write each output into config.output_dir
+    (text as is, a dict as JSON) and list it in the returned manifest."""
     config = validate_config(config)
     digest = json.dumps({"subcommand": config.subcommand, "params": config.params,
                          "seed": config.master_seed}, sort_keys=True)
-    manifest = ResultManifest(config_hash=hashlib.sha256(digest.encode()).hexdigest()[:16],
-                              version=ARTIFACT_VERSION)
     start = time.monotonic()
-    _RUNNERS[config.subcommand](config.params, config.master_seed, config.output_dir, manifest)
-    manifest.durations["total_s"] = time.monotonic() - start
-    for path in manifest.files.values():
-        if not os.path.exists(path):
-            raise RuntimeError(f"manifest references missing file {path}")
-    manifest_path = os.path.join(config.output_dir, "manifest.json")
-    write_json(manifest_path, {"config_hash": manifest.config_hash,
-                               "version": manifest.version,
-                               "files": manifest.files,
-                               "durations": manifest.durations})
+    outputs = _RUNNERS[config.subcommand](config.params, config.master_seed)
+    manifest = {"config_hash": hashlib.sha256(digest.encode()).hexdigest()[:16],
+                "version": ARTIFACT_VERSION, "files": {},
+                "durations": {"total_s": time.monotonic() - start}}
+    for key, (name, content) in outputs.items():
+        path = manifest["files"][key] = os.path.join(config.output_dir, name)
+        if isinstance(content, str):
+            atomic_write_text(path, content)
+        else:
+            write_json(path, content)
+    write_json(os.path.join(config.output_dir, "manifest.json"), manifest)
     return manifest
 
 
@@ -518,7 +493,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand")
     for name, schema in _SCHEMAS.items():
         sp = sub.add_parser(name)
-        for pname, (typ, default, allowed, required) in schema.items():
+        for pname, (typ, default, allowed) in schema.items():
             flag = "--" + pname.replace("_", "-")
             sp.add_argument(flag, dest=pname, type=typ, default=None,
                             choices=allowed, required=False)

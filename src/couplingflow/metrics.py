@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 MAX_CLOUD = 4096
 
@@ -20,15 +21,6 @@ W2 = "w2_euclidean"
 class TransportPlanResult:
     assignment: np.ndarray  # b[assignment[i]] matched to a[i]
     cost: float
-    metric: str
-
-
-def _pairwise_sq(a, b):
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    sq = aa + bb - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    return sq
 
 
 def empirical_wasserstein(a, b, metric=W2) -> TransportPlanResult:
@@ -43,20 +35,16 @@ def empirical_wasserstein(a, b, metric=W2) -> TransportPlanResult:
         raise ValueError(f"clouds must have identical (n, m) shapes, got {a.shape} vs {b.shape}")
     if a.shape[0] > MAX_CLOUD:
         raise ValueError(f"cloud size {a.shape[0]} exceeds {MAX_CLOUD}")
-    sq = _pairwise_sq(a, b)
-    if metric == W2:
-        rows, cols = linear_sum_assignment(sq)
-    elif metric == W1:
-        rows, cols = linear_sum_assignment(np.sqrt(sq))
-    else:
+    if metric not in (W1, W2):
         raise ValueError(f"unknown metric {metric!r}")
+    # cdist takes exact differences, so the matched entries are the cost
+    dist = cdist(a, b, "sqeuclidean" if metric == W2 else "euclidean")
+    rows, cols = linear_sum_assignment(dist)
     assignment = np.empty(a.shape[0], dtype=np.int64)
     assignment[rows] = cols
-    # recompute matched distances from exact differences (the Gram-form cost
-    # matrix carries cancellation noise on coincident points)
-    matched = np.linalg.norm(a - b[assignment], axis=1)
-    cost = float(np.sqrt(np.mean(matched**2)) if metric == W2 else np.mean(matched))
-    return TransportPlanResult(assignment=assignment, cost=cost, metric=metric)
+    mean = float(np.mean(dist[rows, cols]))
+    return TransportPlanResult(assignment=assignment,
+                               cost=float(np.sqrt(mean)) if metric == W2 else mean)
 
 
 def relative_frobenius(a, b) -> float:

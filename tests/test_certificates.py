@@ -151,6 +151,32 @@ def test_certify_nondiagonal_top_left_inconclusive():
     assert "not diagonal" in result.reason_luru
 
 
+def test_certify_singular_bottom_right_inconclusive():
+    t = np.zeros((8, 8))
+    t[:4, :4] = np.diag([1.0, 2.0, 3.0, 4.0])
+    t[4:, 4:] = np.ones((4, 4))
+    result = cert.certify_not_a4(t, 4)
+    assert result.verdict == cert.INCONCLUSIVE
+    assert result.reason_rlrl.startswith("bottom-right block singular")
+
+
+def test_zero_target_is_not_a_perfect_fit():
+    # a zero target once read as a perfect fit: the normalized error and the
+    # fit residual came out 0.0 for any model, and a zero top-left block was
+    # reported as not diagonal
+    from couplingflow import trainer as tr
+    zero = np.zeros((4, 4))
+    config = tr.TrainConfig(lr=1e-3, steps=50, batch_size=64, log_interval=25)
+    final = tr.train_pln(config, d=4, n_layers=1, seed=0, target_matrix=zero).final
+    m = np.asarray(final["recovered_matrix"])
+    assert final["frobenius_error"] == pytest.approx(np.sum(m * m) / 16, rel=1e-12)
+    assert final["frobenius_error"] > 0.0
+    assert cert.falsify_by_fit(zero, 4, restarts=1, config=config) > 0.0
+    result = cert.certify_not_a4(zero, 2)
+    assert result.verdict == cert.INCONCLUSIVE
+    assert "singular" in result.reason_luru
+
+
 def test_certify_sound_on_constructed_members():
     """No four-matrix product may ever be certified as outside the set."""
     rng = np.random.default_rng(2)

@@ -113,7 +113,7 @@ def test_config_file_overrides_flags(tmp_path):
 
 def test_plot_data_roundtrip(tmp_path):
     from couplingflow import trainer
-    rec = trainer.RunRecord(seed=1, config_hash="abc")
+    rec = trainer.RunRecord(seed=1)
     rec.log(0, loss=0.5, frobenius_error=0.25)
     rec.log(100, loss=0.125, frobenius_error=0.0625)
     text = harness.record_jsonl(rec, {"experiment": "train-pln", "d": 4, "variant": 2})
@@ -133,6 +133,32 @@ def test_plot_data_roundtrip(tmp_path):
 def test_emit_plot_data_empty():
     csv_text = harness.emit_plot_data([""])
     assert csv_text.strip() == "experiment,d,variant,seed,step,metric,value"
+
+
+@pytest.mark.parametrize("args, files", [
+    (["decompose", "--input", "t.mat"], {"layers": "layers.json", "report": "report.json"}),
+    (["certify", "--input", "t.mat", "--d", "2"], {"certificate": "certificate.json"}),
+    (["universal", "--mode", "padded", "--dim", "2", "--samples", "32"],
+     {"samples": "samples.csv", "metrics": "metrics.json"}),
+    (["separation", "--d", "4", "--k", "2", "--samples", "32"], {"report": "report.json"}),
+    (["train-pln", "--d", "2", "--layers", "1", "--seeds", "1", "--steps", "10"],
+     {"records": "pln_records.jsonl", "summary": "pln_summary.json"}),
+    (["train-reg", "--d", "2", "--arch", "mlp", "--steps", "10"],
+     {"records": "reg_records.jsonl", "summary": "reg_summary.json"}),
+    (["train-mle", "--dataset", "gaussian", "--steps", "10"],
+     {"records": "mle_records.jsonl", "summary": "mle_summary.json"}),
+    (["plot-data", "--records", "r.jsonl"], {"csv": "plot_data.csv"}),
+])
+def test_cli_output_sets(tmp_path, args, files):
+    # each subcommand writes exactly its outputs plus a manifest listing them
+    matcore.write_mat1(tmp_path / "t.mat", np.diag([1.0, 2.0, 3.0, 4.0]))
+    (tmp_path / "r.jsonl").write_text('{"experiment": "e", "seed": 0, "step": 0, "loss": 1.0}\n')
+    args = [str(tmp_path / a) if a.endswith((".mat", ".jsonl")) else a for a in args]
+    outdir = tmp_path / "out"
+    assert harness.main(["--out", str(outdir)] + args) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["files"] == {key: str(outdir / name) for key, name in files.items()}
+    assert set(os.listdir(outdir)) == {"manifest.json", *files.values()}
 
 
 def test_atomic_write(tmp_path):
