@@ -46,7 +46,7 @@ class SchurCertificate:
     reason_luru: str
     max_imag: float
     reason_rlrl: str
-    trace_value: float
+    trace_value: float | None  # None where the swapped Schur complement is not formed
 
 
 def split_blocks(t, d: int):
@@ -205,12 +205,12 @@ def certify_not_a4(t, d: int) -> SchurCertificate:
         return SchurCertificate(
             verdict=INCONCLUSIVE, schur_spectrum=np.array([]),
             reason_luru="top-left block not diagonal; general membership is undecided here",
-            max_imag=0.0, reason_rlrl="not evaluated", trace_value=0.0)
+            max_imag=0.0, reason_rlrl="not evaluated", trace_value=None)
     if np.min(np.abs(np.diag(x))) <= matcore.SINGULAR_RTOL * off_scale:
         return SchurCertificate(
             verdict=INCONCLUSIVE, schur_spectrum=np.array([]),
             reason_luru="top-left block singular", max_imag=0.0,
-            reason_rlrl="not evaluated", trace_value=0.0)
+            reason_rlrl="not evaluated", trace_value=None)
 
     schur = schur_complement(t, d)
     spectrum = matcore.eig(schur)
@@ -225,7 +225,7 @@ def certify_not_a4(t, d: int) -> SchurCertificate:
 
     # reversed ordering through the half-swapped matrix
     rlrl_excluded = False
-    trace_value = float("nan")
+    trace_value = None
     try:
         swapped_schur = schur_complement(np.block([[w, z], [y, x]]), d)
         trace_value = float(np.trace(swapped_schur))

@@ -85,9 +85,9 @@ def _act_deriv(name, u):
     raise ValueError(f"unknown activation {name!r}")
 
 
-def mlp_forward(mlp: Mlp, x: np.ndarray, want_cache: bool = False):
-    """Evaluate the net on a batch (n, in_dim). Returns output or
-    (output, cache) where cache holds pre-activations for the backward pass."""
+def mlp_forward(mlp: Mlp, x: np.ndarray):
+    """Evaluate the net on a batch (n, in_dim). Returns (output, cache) where
+    cache holds pre-activations for the backward pass."""
     h = x
     pre = []
     hidden = [x]
@@ -101,9 +101,7 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, want_cache: bool = False):
         out = np.exp(np.tanh(h))
     else:
         out = h
-    if want_cache:
-        return out, {"pre": pre, "hidden": hidden, "out": out}
-    return out
+    return out, {"pre": pre, "hidden": hidden, "out": out}
 
 
 def mlp_backward(mlp: Mlp, cache, dout):
@@ -128,7 +126,7 @@ def mlp_backward(mlp: Mlp, cache, dout):
 
 def _mlp_jacobians(mlp: Mlp, cache) -> np.ndarray:
     """Per-row Jacobians (n, out_dim, in_dim) of the batch that filled
-    ``cache`` (from ``mlp_forward(..., want_cache=True)``).
+    ``cache`` (from ``mlp_forward``).
 
     Carried transposed, as (n, in_dim, width), so each weight is one matrix
     product over all rows."""
@@ -269,8 +267,8 @@ def _scale_shift(layer, kept):
         return layer.diag, kept @ layer.dense.T
     if isinstance(layer, NonlinearCouplingLayer):
         rows = np.atleast_2d(kept)
-        return (mlp_forward(layer.s_net, rows).reshape(kept.shape),
-                mlp_forward(layer.t_net, rows).reshape(kept.shape))
+        return (mlp_forward(layer.s_net, rows)[0].reshape(kept.shape),
+                mlp_forward(layer.t_net, rows)[0].reshape(kept.shape))
     raise TypeError(f"unknown layer type {type(layer)!r}")
 
 
@@ -371,8 +369,8 @@ def jacobian(seq: LayerSequence, x: np.ndarray) -> np.ndarray:
             x = apply_layer(layer, x)
             continue
         kept, passive = _halves(layer.side, x)
-        s, s_cache = mlp_forward(layer.s_net, kept, want_cache=True)
-        t, t_cache = mlp_forward(layer.t_net, kept, want_cache=True)
+        s, s_cache = mlp_forward(layer.s_net, kept)
+        t, t_cache = mlp_forward(layer.t_net, kept)
         # d(passive * s + t)/d(kept) = diag(passive) J_s + J_t, per row
         dense = passive[:, :, None] * _mlp_jacobians(layer.s_net, s_cache) \
             + _mlp_jacobians(layer.t_net, t_cache)

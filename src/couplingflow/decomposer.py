@@ -255,9 +255,15 @@ def block_diag_layers(m, s, min_gap: float = 1e-8) -> LayerSequence:
     gap_floor = min(min_gap, 0.5 * float(np.min(np.diff(target))) if n > 1 else min_gap)
     v = _eigvec_matrix(m_inv, m_lower, gap_floor)
     u = _eigvec_matrix(s, s_lower, gap_floor)
-    a_blk = u @ matcore.inv(v)
-    e_blk = -a_blk @ m
-    e_inv = matcore.inv(e_blk)
+    # E = -U V^{-1} m is singular exactly when an eigenvector matrix is
+    try:
+        a_blk = u @ matcore.inv(v)
+        e_blk = -a_blk @ m
+        e_inv = matcore.inv(e_blk)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"block-diagonal stage: eigenvector matrix singular to tolerance ({exc}); "
+            "the triangular factor is ill-conditioned") from exc
     d_blk = (m - np.eye(n)) @ e_inv
     h_blk = (m_inv - np.eye(n)) @ e_inv
 

@@ -396,16 +396,17 @@ def _training_outputs(prefix, jsonl_text, summary):
 
 def _run_train_pln(params, seed):
     config = trainer.TrainConfig(lr=params["lr"], steps=params["steps"],
-                                 batch_size=params["batch_size"],
-                                 target_kind=params["target"] + "_matrix")
+                                 batch_size=params["batch_size"])
+    d = params["d"]
     layer_counts = _layer_counts(params["layers"])
     texts = []
     summary = {}
     for n_layers in layer_counts:
         finals = []
         for s in range(params["seeds"]):
-            record = trainer.train_pln(config, params["d"], n_layers, seed + s)
-            meta = {"experiment": "train-pln", "d": params["d"], "variant": n_layers}
+            target = trainer.make_target_matrix(params["target"] + "_matrix", d, seed + s)
+            record = trainer.train_pln(config, d, n_layers, seed + s, target)
+            meta = {"experiment": "train-pln", "d": d, "variant": n_layers}
             texts.append(record_jsonl(record, meta))
             finals.append(record.final["frobenius_error"])
         summary[str(n_layers)] = {

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import ndtri
 
 from couplingflow.errors import RetryBudgetExhaustedError
@@ -272,10 +273,7 @@ def w1_witness(samples_mu, samples_nu, separated_means, gamma: float) -> float:
     cap = 2.0 * gamma * math.sqrt(d)
 
     def phi(x):
-        dists = np.sqrt(np.maximum(
-            np.sum(x * x, axis=1)[:, None] - 2.0 * x @ means.T
-            + np.sum(means * means, axis=1)[None, :], 0.0))
-        return np.maximum(0.0, cap - np.min(dists, axis=1))
+        return np.maximum(0.0, cap - np.min(cdist(x, means), axis=1))
 
     return float(np.mean(phi(samples_mu)) - np.mean(phi(samples_nu)))
 

@@ -26,6 +26,7 @@ from couplingflow.metrics import relative_frobenius
 from couplingflow.rng import stream
 
 GAUSSIAN_ENTROPY_2D = 1.0 + math.log(2.0 * math.pi)  # differential entropy of N(0, I2) per point
+PLN_INIT_STD = 1e-5  # std of the PLN dense-block draws at initialization
 
 
 @dataclass(frozen=True)
@@ -33,15 +34,11 @@ class TrainConfig:
     lr: float = 1e-4
     steps: int = 20000
     batch_size: int = 256
-    init_std: float = 1e-5
-    target_kind: str = "gaussian_matrix"
     log_interval: int = 100
 
     def __post_init__(self):
         if min(self.lr, self.steps, self.batch_size, self.log_interval) <= 0:
             raise ValueError("hyperparameters must be positive")
-        if self.init_std < 0:
-            raise ValueError("init_std must be nonnegative")
 
 
 @dataclass
@@ -117,9 +114,11 @@ class AdamList:
 
 class PlnModel:
     """Stack of n layers, each lower coupling, upper coupling, actnorm, on
-    d = 2h coordinates. Parameters live in one flat vector (dense blocks
-    first, then every log-diagonal), so Adam is a handful of vector ops and
-    the diagonals exponentiate in a single call per step."""
+    d = 2h coordinates. Parameters live in one flat vector, dense blocks
+    first, then every log-diagonal, so Adam is a handful of vector ops. Two
+    views stack them per layer: ``dense`` (n, 2, h, h) holds A and D and
+    ``logs`` (n, 2d) holds log b, log c and log e; ``grad_dense`` and
+    ``grad_logs`` view ``grad`` the same way."""
 
     def __init__(self, d: int, n_layers: int, init_std: float, seed: int):
         if d % 2 != 0 or d < 2:
@@ -128,54 +127,33 @@ class PlnModel:
             raise ValueError("n_layers must be >= 1")
         self.d, self.h, self.n_layers = d, d // 2, n_layers
         h = self.h
-        dense_size = n_layers * 2 * h * h
-        log_size = n_layers * (2 * h + d)
-        self.params = np.zeros(dense_size + log_size)
+        split = n_layers * 2 * h * h
+        self.params = np.zeros(split + n_layers * 2 * d)
         self.grad = np.zeros_like(self.params)
-        self._log_offset = dense_size
-        self._exp_buf = np.empty(log_size)
-        self.views = []
-        self.grad_views = []
-        off, log_off = 0, 0
-        for _ in range(n_layers):
-            layer, glayer = {}, {}
-            for name, shape in (("A", (h, h)), ("D", (h, h))):
-                size = h * h
-                layer[name] = self.params[off : off + size].reshape(shape)
-                glayer[name] = self.grad[off : off + size].reshape(shape)
-                off += size
-            for name, size in (("logb", h), ("logc", h), ("loge", d)):
-                start = dense_size + log_off
-                layer[name] = self.params[start : start + size]
-                glayer[name] = self.grad[start : start + size]
-                layer["exp" + name[3:]] = self._exp_buf[log_off : log_off + size]
-                log_off += size
-            self.views.append(layer)
-            self.grad_views.append(glayer)
+        self.dense = self.params[:split].reshape(n_layers, 2, h, h)
+        self.logs = self.params[split:].reshape(n_layers, 2 * d)
+        self.grad_dense = self.grad[:split].reshape(n_layers, 2, h, h)
+        self.grad_logs = self.grad[split:].reshape(n_layers, 2 * d)
+        # log-parameterized diagonals start at exactly one
         rng = stream(seed, "pln-init", d, n_layers)
-        for layer in self.views:
-            layer["A"][:] = init_std * rng.standard_normal((h, h))
-            layer["D"][:] = init_std * rng.standard_normal((h, h))
-            # log-parameterized diagonals start at exactly one
-
-    def _refresh_diagonals(self):
-        np.exp(self.params[self._log_offset :], out=self._exp_buf)
+        self.dense[:] = init_std * rng.standard_normal(self.dense.shape)
 
     def forward(self, z: np.ndarray):
         """Apply the stack to a batch; returns (output, caches)."""
         h = self.h
-        self._refresh_diagonals()
+        diag = np.exp(self.logs)
+        dense_t = self.dense.transpose(0, 1, 3, 2)
         x = z
         caches = []
-        for layer in self.views:
+        # index per layer: unpacking a numpy array row by row costs more
+        for i in range(self.n_layers):
             x1, x2 = x[:, :h], x[:, h:]
-            u2 = x2 * layer["expb"] + x1 @ layer["A"].T
-            v1 = x1 * layer["expc"] + u2 @ layer["D"].T
-            out = np.empty_like(x)
-            np.multiply(v1, layer["expe"][:h], out=out[:, :h])
-            np.multiply(u2, layer["expe"][h:], out=out[:, h:])
-            caches.append((x, u2, v1))
-            x = out
+            b, c, e = diag[i, :h], diag[i, h:2 * h], diag[i, 2 * h:]
+            u2 = x2 * b + x1 @ dense_t[i, 0]
+            v1 = x1 * c + u2 @ dense_t[i, 1]
+            caches.append((x1, x2, u2, v1, b, c, e))
+            x = np.concatenate((v1, u2), axis=1)
+            x *= e
         return x, caches
 
     def backward(self, dout: np.ndarray, caches, logdet_coeff: float = 0.0):
@@ -186,42 +164,38 @@ class PlnModel:
         under the log parameterization.
         """
         h = self.h
-        for layer, glayer, cache in zip(reversed(self.views), reversed(self.grad_views),
-                                        reversed(caches)):
-            x, u2, v1 = cache
-            x1, x2 = x[:, :h], x[:, h:]
+        for i in reversed(range(self.n_layers)):
+            x1, x2, u2, v1, b, c, e = caches[i]
+            grad_diag = self.grad_logs[i]
             # actnorm: out = (v1 | u2) * e
-            dv1 = dout[:, :h] * layer["expe"][:h]
-            du2 = dout[:, h:] * layer["expe"][h:]
-            glayer["loge"][:h] = np.einsum("bj,bj->j", dv1, v1)
-            glayer["loge"][h:] = np.einsum("bj,bj->j", du2, u2)
+            dv1 = dout[:, :h] * e[:h]
+            du2 = dout[:, h:] * e[h:]
+            grad_diag[2 * h:3 * h] = np.einsum("bj,bj->j", dv1, v1)
+            grad_diag[3 * h:] = np.einsum("bj,bj->j", du2, u2)
             # upper: v1 = c * x1 + u2 @ D.T
-            glayer["D"][:] = dv1.T @ u2
-            np.multiply(np.einsum("bj,bj->j", dv1, x1), layer["expc"], out=glayer["logc"])
-            dx1 = dv1 * layer["expc"]
-            du2 += dv1 @ layer["D"]
+            self.grad_dense[i, 1] = dv1.T @ u2
+            grad_diag[h:2 * h] = np.einsum("bj,bj->j", dv1, x1) * c
+            du2 += dv1 @ self.dense[i, 1]
             # lower: u2 = b * x2 + x1 @ A.T
-            glayer["A"][:] = du2.T @ x1
-            np.multiply(np.einsum("bj,bj->j", du2, x2), layer["expb"], out=glayer["logb"])
-            dout = np.empty_like(x)
-            np.add(dx1, du2 @ layer["A"], out=dout[:, :h])
-            np.multiply(du2, layer["expb"], out=dout[:, h:])
+            self.grad_dense[i, 0] = du2.T @ x1
+            grad_diag[:h] = np.einsum("bj,bj->j", du2, x2) * b
+            dout = np.concatenate((dv1 * c + du2 @ self.dense[i, 0], du2 * b), axis=1)
         if logdet_coeff != 0.0:
-            self.grad[self._log_offset :] += logdet_coeff
+            self.grad_logs += logdet_coeff
         return dout
 
     def as_matrix(self) -> np.ndarray:
         """Multiply the layers out into the recovered d x d matrix."""
+        h = self.h
         layers = []
-        for layer in self.views:
-            b, c, e = (np.exp(layer[name]) for name in ("logb", "logc", "loge"))
-            layers += [coupling.LinearCouplingLayer(coupling.LOWER, layer["A"], b),
-                       coupling.LinearCouplingLayer(coupling.UPPER, layer["D"], c),
-                       coupling.ActNormLayer(e)]
+        for (a, dm), diag in zip(self.dense, np.exp(self.logs)):
+            layers += [coupling.LinearCouplingLayer(coupling.LOWER, a, diag[:h]),
+                       coupling.LinearCouplingLayer(coupling.UPPER, dm, diag[h:2 * h]),
+                       coupling.ActNormLayer(diag[2 * h:])]
         return coupling.as_matrix(coupling.sequence(layers, ambient_dim=self.d))
 
     def log_det(self) -> float:
-        return float(np.sum(self.params[self._log_offset :]))
+        return float(np.sum(self.logs))
 
 
 def pln_gradients(model: PlnModel, batch_z: np.ndarray, target_matrix: np.ndarray) -> np.ndarray:
@@ -250,18 +224,15 @@ def make_target_matrix(kind: str, d: int, seed: int) -> np.ndarray:
         # one Gaussian value per diagonal, constant along it
         vals = rng.standard_normal(2 * d - 1)
         return toeplitz(vals[d - 1:], vals[d - 1::-1])
-    if kind == "identity":
-        return np.eye(d)
     raise ValueError(f"unknown target kind {kind!r}")
 
 
 def train_pln(config: TrainConfig, d: int, n_layers: int, seed: int,
-              target_matrix=None) -> RunRecord:
+              target_matrix) -> RunRecord:
     """Adam regression of a PLN onto a linear target over fresh Gaussian
     batches. Frobenius error is normalized by 1/d^2 and the L2 loss by 1/d."""
-    target = (np.asarray(target_matrix, dtype=np.float64) if target_matrix is not None
-              else make_target_matrix(config.target_kind, d, seed))
-    model = PlnModel(d, n_layers, config.init_std, seed)
+    target = np.asarray(target_matrix, dtype=np.float64)
+    model = PlnModel(d, n_layers, PLN_INIT_STD, seed)
     adam = AdamState.for_params(model.params, config.lr)
     batches = stream(seed, "pln-batches", d, n_layers)
     record = RunRecord(seed=seed)
@@ -319,17 +290,16 @@ def _stack_params(layers) -> list:
     return params
 
 
-def _stack_forward(layers, x: np.ndarray, want_logdet: bool = False):
+def _stack_forward(layers, x: np.ndarray):
     """Forward through the coupling stack, caching everything the backward
     pass needs; logdet is the per-sample sum of log scale outputs."""
     caches = []
     logdet = np.zeros(x.shape[0])
     for layer in layers:
         kept, passive = _halves(layer.side, x)
-        s, s_cache = mlp_forward(layer.s_net, kept, want_cache=True)
-        t, t_cache = mlp_forward(layer.t_net, kept, want_cache=True)
-        if want_logdet:
-            logdet += np.sum(np.log(s), axis=1)
+        s, s_cache = mlp_forward(layer.s_net, kept)
+        t, t_cache = mlp_forward(layer.t_net, kept)
+        logdet += np.sum(np.log(s), axis=1)
         caches.append((passive, s, s_cache, t_cache))
         x = _join(layer.side, kept, passive * s + t)
     return x, caches, logdet
@@ -387,7 +357,7 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
         params = net.weights + net.biases
 
         def forward(z):
-            return mlp_forward(net, z, want_cache=True)
+            return mlp_forward(net, z)
 
         def backward(cache, dout):
             gw, gb, _ = mlp_backward(net, cache, dout)
@@ -515,13 +485,13 @@ def train_nvp_mle(dataset: str, padding: str, config: TrainConfig, seed: int,
     batch_max = -np.inf  # largest training-batch NLL since the last log point
     for step in range(config.steps):
         x = _padded_batch(dataset, padding, config.batch_size, data_rng)
-        y, caches, logdet = _stack_forward(layers, x, want_logdet=True)
+        y, caches, logdet = _stack_forward(layers, x)
         nll = _nll(y, logdet)
         if not np.isfinite(nll):
             raise DivergedRunError(f"NLL diverged at step {step}", record)
         batch_max = max(batch_max, nll)
         if step % config.log_interval == 0:
-            ey, _, elogdet = _stack_forward(layers, eval_batch, want_logdet=True)
+            ey, _, elogdet = _stack_forward(layers, eval_batch)
             cond_med, cond_max = probe_condition()
             record.log(step, nll=_nll(ey, elogdet), nll_batch_max=batch_max,
                        cond_log10_median=cond_med, cond_log10_max=cond_max)
@@ -530,7 +500,7 @@ def train_nvp_mle(dataset: str, padding: str, config: TrainConfig, seed: int,
         grads = _stack_backward(layers, caches, dy, logdet_coeff=-1.0 / config.batch_size)
         adam.update(grads)
 
-    ey, _, elogdet = _stack_forward(layers, eval_batch, want_logdet=True)
+    ey, _, elogdet = _stack_forward(layers, eval_batch)
     cond_med, cond_max = probe_condition()
     final_nll = _nll(ey, elogdet)
     # the final window always holds the last step, even if it was logged
@@ -564,7 +534,7 @@ def mle_linear_gaussian_check(sigma, n_samples: int, config: TrainConfig = None,
     data = rng.standard_normal((n_samples, dim)) @ chol.T
     sample_cov = data.T @ data / n_samples
 
-    model = PlnModel(dim, n_layers, config.init_std, seed)
+    model = PlnModel(dim, n_layers, PLN_INIT_STD, seed)
     adam = AdamState.for_params(model.params, config.lr)
     batches = stream(seed, "mle-gaussian-batches", dim)
     record = RunRecord(seed=seed)

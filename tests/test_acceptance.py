@@ -272,7 +272,9 @@ def test_criterion_10_pln_depth_ordering():
     config = tr.TrainConfig(lr=1e-4, steps=20000, batch_size=256)
     medians = {}
     for n_layers in (1, 2, 4, 8):
-        finals = [tr.train_pln(config, d=16, n_layers=n_layers, seed=s).final["frobenius_error"]
+        finals = [tr.train_pln(config, d=16, n_layers=n_layers, seed=s,
+                               target_matrix=tr.make_target_matrix("gaussian_matrix", 16, s)
+                               ).final["frobenius_error"]
                   for s in range(5)]
         medians[n_layers] = float(np.median(finals))
     elapsed = time.time() - t0
@@ -368,10 +370,10 @@ def test_criterion_14_numerics_master_check():
         worst_grad = max(worst_grad, rel(g.ravel(), fd_grad(stack_loss, p.ravel())))
 
     def stack_nll():
-        yy, _, ld = tr._stack_forward(layers, x, want_logdet=True)
+        yy, _, ld = tr._stack_forward(layers, x)
         return tr._nll(yy, ld)
 
-    yy, caches, _ = tr._stack_forward(layers, x, want_logdet=True)
+    yy, caches, _ = tr._stack_forward(layers, x)
     grads = tr._stack_backward(layers, caches, yy / 6, logdet_coeff=-1.0 / 6)
     for p, g in zip(tr._stack_params(layers), grads):
         worst_grad = max(worst_grad, rel(g.ravel(), fd_grad(stack_nll, p.ravel())))

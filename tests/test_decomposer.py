@@ -219,6 +219,21 @@ def test_block_diag_refusals(m, s, error):
         dc.block_diag_layers(m, s)
 
 
+def test_block_diag_names_its_stage_on_ill_conditioned_factor():
+    # large off-diagonal entries against the diagonal leave the stage's
+    # eigenvector matrices singular to tolerance; the error once read only
+    # "pivot 22 below tolerance", as if the target itself were singular
+    rng = np.random.default_rng(1)
+    n = rng.choice([40, 48, 56, 64])
+    s = rng.uniform(1.4, 2.0)
+    strict = np.tril(rng.normal(0.0, s, (n, n)), -1)
+    diag = rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    if np.prod(np.sign(diag)) < 0:
+        diag[0] = -diag[0]
+    with pytest.raises(SingularMatrixError, match="block-diagonal stage: eigenvector matrix"):
+        dc.triangular_layers(strict + np.diag(diag), "lower")
+
+
 # ---------------------------------------------------------------------------
 # triangular factors
 

@@ -71,6 +71,31 @@ def test_certify_cli(tmp_path):
     assert abs(doc["max_imag"] - 1.0) <= 1e-8
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize("x_block, w_block, reason", [
+    (np.diag([1.0, 2.0, 3.0, 4.0]), np.ones((4, 4)), "bottom-right block singular"),
+    (np.diag([0.0, 2.0, 3.0, 4.0]), np.eye(4), "not evaluated"),
+    (np.diag([1.0, 2.0, 3.0, 4.0]) + 0.5, np.eye(4), "not evaluated"),
+])
+def test_certify_cli_writes_strict_json(tmp_path, x_block, w_block, reason):
+    # a branch that forms no swapped Schur complement has no trace: null,
+    # where a singular W once wrote the non-JSON literal NaN
+    t = np.block([[x_block, np.eye(4)], [np.eye(4), w_block]])
+    mat_path = tmp_path / "t.mat"
+    matcore.write_mat1(mat_path, t)
+    outdir = tmp_path / "out"
+    assert harness.main(["--out", str(outdir), "certify", "--input", str(mat_path),
+                         "--d", "4"]) == 0
+    doc = json.loads((outdir / "certificate.json").read_text(),
+                     parse_constant=_refuse_constant)
+    assert doc["verdict"] == "inconclusive"
+    assert doc["trace_value"] is None
+    assert doc["reason_rlrl"].startswith(reason)
+
+
 def test_universal_cli_deterministic(tmp_path):
     args = ["--seed", "7", "universal", "--mode", "lattice", "--eps", "0.25",
             "--samples", "256", "--dim", "1"]

@@ -67,13 +67,13 @@ def test_pln_gradient_hand_derived_1d():
     target = np.diag([t1, t2])
     tr.pln_gradients(model, z, target)
     z1, z2 = z[0]
-    g = model.grad_views[0]
-    assert abs(g["A"][0, 0] - (1 - t2) * z2 * z1) <= 1e-12
-    assert abs(g["logb"][0] - (1 - t2) * z2 * z2) <= 1e-12
-    assert abs(g["D"][0, 0] - (1 - t1) * z1 * z2) <= 1e-12
-    assert abs(g["logc"][0] - (1 - t1) * z1 * z1) <= 1e-12
-    assert abs(g["loge"][0] - (1 - t1) * z1 * z1) <= 1e-12
-    assert abs(g["loge"][1] - (1 - t2) * z2 * z2) <= 1e-12
+    (ga, gd), (glogb, glogc, gloge1, gloge2) = model.grad_dense[0], model.grad_logs[0]
+    assert abs(ga[0, 0] - (1 - t2) * z2 * z1) <= 1e-12
+    assert abs(glogb - (1 - t2) * z2 * z2) <= 1e-12
+    assert abs(gd[0, 0] - (1 - t1) * z1 * z2) <= 1e-12
+    assert abs(glogc - (1 - t1) * z1 * z1) <= 1e-12
+    assert abs(gloge1 - (1 - t1) * z1 * z1) <= 1e-12
+    assert abs(gloge2 - (1 - t2) * z2 * z2) <= 1e-12
 
 
 def test_pln_gradient_matches_finite_differences():
@@ -127,23 +127,23 @@ def test_toeplitz_target_structure():
 
 
 def test_train_pln_identity_target_converges():
-    config = tr.TrainConfig(lr=1e-4, steps=8000, batch_size=128, target_kind="identity")
-    record = tr.train_pln(config, d=4, n_layers=1, seed=0)
+    config = tr.TrainConfig(lr=1e-4, steps=8000, batch_size=128)
+    record = tr.train_pln(config, d=4, n_layers=1, seed=0, target_matrix=np.eye(4))
     assert record.final["frobenius_error"] <= 1e-6
 
 
 def test_train_pln_deterministic_traces():
     config = tr.TrainConfig(lr=1e-4, steps=300, batch_size=64)
-    r1 = tr.train_pln(config, d=4, n_layers=2, seed=3)
-    r2 = tr.train_pln(config, d=4, n_layers=2, seed=3)
+    target = tr.make_target_matrix("gaussian_matrix", 4, seed=3)
+    r1 = tr.train_pln(config, d=4, n_layers=2, seed=3, target_matrix=target)
+    r2 = tr.train_pln(config, d=4, n_layers=2, seed=3, target_matrix=target)
     assert r1.metrics["loss"] == r2.metrics["loss"]
     assert r1.metrics["frobenius_error"] == r2.metrics["frobenius_error"]
 
 
 def test_train_pln_loss_moving_median_non_increasing():
-    config = tr.TrainConfig(lr=1e-4, steps=6000, batch_size=128,
-                            target_kind="identity", log_interval=20)
-    record = tr.train_pln(config, d=4, n_layers=2, seed=1)
+    config = tr.TrainConfig(lr=1e-4, steps=6000, batch_size=128, log_interval=20)
+    record = tr.train_pln(config, d=4, n_layers=2, seed=1, target_matrix=np.eye(4))
     losses = np.array(record.metrics["loss"])
     window = 5  # 100 steps of logging at interval 20
     medians = [np.median(losses[i : i + window]) for i in range(0, len(losses) - window, window)]
@@ -155,7 +155,8 @@ def test_train_pln_divergence_detection():
     config = tr.TrainConfig(lr=1e30, steps=200, batch_size=16)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(DivergedRunError) as exc_info:
-            tr.train_pln(config, d=4, n_layers=2, seed=0)
+            tr.train_pln(config, d=4, n_layers=2, seed=0,
+                         target_matrix=tr.make_target_matrix("gaussian_matrix", 4, seed=0))
     assert exc_info.value.record is not None
 
 
@@ -176,10 +177,10 @@ def test_pln_batch_enters_only_through_gram():
 @pytest.mark.parametrize("batch_size", [64, 2])
 def test_train_pln_logs_full_batch_loss(batch_size):
     config = tr.TrainConfig(lr=1e-3, steps=5, batch_size=batch_size, log_interval=5)
-    record = tr.train_pln(config, d=6, n_layers=2, seed=12)
-    model = tr.PlnModel(6, 2, config.init_std, seed=12)
+    target = tr.make_target_matrix("gaussian_matrix", 6, seed=12)
+    record = tr.train_pln(config, d=6, n_layers=2, seed=12, target_matrix=target)
+    model = tr.PlnModel(6, 2, tr.PLN_INIT_STD, seed=12)
     z0 = stream(12, "pln-batches", 6, 2).standard_normal((batch_size, 6))
-    target = tr.make_target_matrix(config.target_kind, 6, seed=12)
     first = tr.pln_loss(model, z0, target)
     assert abs(record.metrics["loss"][0] - first) <= 1e-12 * first
 
@@ -215,10 +216,10 @@ def test_stack_mle_gradients_match_fd():
     x = rng.standard_normal((6, 4))
 
     def nll():
-        y, _, ld = tr._stack_forward(layers, x, want_logdet=True)
+        y, _, ld = tr._stack_forward(layers, x)
         return tr._nll(y, ld)
 
-    y, caches, ld = tr._stack_forward(layers, x, want_logdet=True)
+    y, caches, ld = tr._stack_forward(layers, x)
     grads = tr._stack_backward(layers, caches, y / x.shape[0],
                                logdet_coeff=-1.0 / x.shape[0])
     worst = 0.0
@@ -248,7 +249,7 @@ def test_stack_forward_logdet_matches_coupling_module():
     seq = cp.sequence(layers, ambient_dim=4)
     rng = np.random.default_rng(17)
     x = rng.standard_normal((3, 4))
-    y, _, logdet = tr._stack_forward(layers, x, want_logdet=True)
+    y, _, logdet = tr._stack_forward(layers, x)
     for i in range(3):
         assert np.max(np.abs(y[i] - cp.apply(seq, x[i]))) <= 1e-12
         assert abs(logdet[i] - cp.log_det_jacobian(seq, x[i])) <= 1e-10
@@ -374,5 +375,3 @@ def test_sample_covariance_shrinks_with_more_samples():
 def test_config_validation():
     with pytest.raises(ValueError):
         tr.TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        tr.TrainConfig(init_std=-1.0)
