@@ -18,6 +18,7 @@ the reverse-order product, so as_matrix(seq) @ x == apply(seq, x).
 """
 
 import json
+from base64 import b64decode, b64encode
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,11 +401,18 @@ def log_det_jacobian(seq: LayerSequence, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization (exact round-trip: repr of float64 is shortest exact form)
+# serialization: every array is base64 of its row-major little-endian float64 bytes
 
 
 def _arr(a):
-    return np.asarray(a, dtype=np.float64).ravel().tolist()
+    return b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unarr(text, field, shape=-1):
+    try:
+        return np.frombuffer(b64decode(text, validate=True), "<f8").astype(float).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: {exc}") from exc
 
 
 def layer_to_dict(layer) -> dict:
@@ -425,10 +433,12 @@ def _mlp_to_dict(mlp: Mlp) -> dict:
             "weights": [_arr(w) for w in mlp.weights], "biases": [_arr(b) for b in mlp.biases]}
 
 
-def _mlp_from_dict(d) -> Mlp:
-    widths = d["widths"]
-    weights = [np.array(w).reshape(widths[k], widths[k + 1]) for k, w in enumerate(d["weights"])]
-    biases = [np.array(b) for b in d["biases"]]
+def _mlp_from_dict(d, net) -> Mlp:
+    shapes = list(zip(d["widths"], d["widths"][1:]))
+    if not len(d["weights"]) == len(d["biases"]) == len(shapes):
+        raise ValueError(f"{net}: widths {d['widths']} do not fit its weights and biases")
+    weights = [_unarr(a, f"{net}.weights[{k}]", shapes[k]) for k, a in enumerate(d["weights"])]
+    biases = [_unarr(a, f"{net}.biases[{k}]", shapes[k][1]) for k, a in enumerate(d["biases"])]
     return Mlp(weights=weights, biases=biases, activation=d["activation"],
                output_transform=d["output_transform"])
 
@@ -437,13 +447,13 @@ def layer_from_dict(d) -> object:
     kind = d["kind"]
     if kind == "linear":
         dh = d["dim_half"]
-        return LinearCouplingLayer(side=d["side"], dense=np.array(d["dense"]).reshape(dh, dh),
-                                   diag=np.array(d["diag"]))
+        return LinearCouplingLayer(side=d["side"], dense=_unarr(d["dense"], "dense", (dh, dh)),
+                                   diag=_unarr(d["diag"], "diag", (dh,)))
     if kind == "actnorm":
-        return ActNormLayer(scale=np.array(d["scale"]))
+        return ActNormLayer(scale=_unarr(d["scale"], "scale"))
     if kind == "nonlinear":
-        return NonlinearCouplingLayer(side=d["side"], s_net=_mlp_from_dict(d["s_net"]),
-                                      t_net=_mlp_from_dict(d["t_net"]))
+        return NonlinearCouplingLayer(side=d["side"], s_net=_mlp_from_dict(d["s_net"], "s_net"),
+                                      t_net=_mlp_from_dict(d["t_net"], "t_net"))
     raise ValueError(f"unknown layer kind {kind!r}")
 
 

@@ -508,10 +508,3 @@ def decompose(t) -> DecompositionResult:
     assert result.matrix_count <= TOTAL_BUDGET
     return result
 
-
-def verify(result: DecompositionResult, t) -> float:
-    """Recompute the relative Frobenius residual of a decomposition."""
-    t = matcore.as_matrix_array(t)
-    if t.shape != (result.layers.ambient_dim, result.layers.ambient_dim):
-        raise ValueError("dimension mismatch between result and target")
-    return float(relative_frobenius(as_matrix(result.layers), t))

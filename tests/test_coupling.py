@@ -1,3 +1,4 @@
+import base64
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -289,23 +290,78 @@ def test_log_det_additive_under_concatenation():
     assert abs(total - cp.log_det_jacobian(seq1, x) - cp.log_det_jacobian(seq2, mid)) <= 1e-12
 
 
+def layer_arrays(layer):
+    """Every stored array of a layer, MLP weights and biases included."""
+    if isinstance(layer, cp.LinearCouplingLayer):
+        return [layer.dense, layer.diag]
+    if isinstance(layer, cp.ActNormLayer):
+        return [layer.scale]
+    return [a for net in (layer.s_net, layer.t_net) for a in net.weights + net.biases]
+
+
+def assert_bitwise_equal(seq, back):
+    """back has seq's layers, fields and array bits (so -0.0 != 0.0), with
+    every array read back native, writable, C-contiguous float64."""
+    assert back.ambient_dim == seq.ambient_dim and len(back) == len(seq)
+    for a, b in zip(seq.layers, back.layers):
+        assert type(a) is type(b)
+        assert getattr(a, "side", None) == getattr(b, "side", None)
+        if isinstance(a, cp.NonlinearCouplingLayer):
+            for net_a, net_b in ((a.s_net, b.s_net), (a.t_net, b.t_net)):
+                assert (net_a.activation, net_a.output_transform) == \
+                    (net_b.activation, net_b.output_transform)
+        arrays_a, arrays_b = layer_arrays(a), layer_arrays(b)
+        assert len(arrays_a) == len(arrays_b)
+        for x, y in zip(arrays_a, arrays_b):
+            assert y.dtype == np.float64 and y.dtype.isnative
+            assert y.flags.c_contiguous and y.flags.writeable
+            x = np.ascontiguousarray(x, dtype=np.float64)
+            assert x.shape == y.shape
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 def test_sequence_json_roundtrip_exact():
     rng = np.random.default_rng(10)
     seq = random_linear_sequence(rng, 3, 2, with_actnorm=True)
-    layers = list(seq.layers) + [constant_nonlinear_layer(3, 0.7, -0.2, side=cp.UPPER)]
-    seq = cp.sequence(layers, ambient_dim=6)
-    text = cp.sequence_to_json(seq)
-    back = cp.sequence_from_json(text)
+    nonlinear = cp.NonlinearCouplingLayer(
+        side=cp.UPPER, s_net=cp.mlp_init([3, 4, 4, 3], output_transform="exptanh", rng=rng),
+        t_net=cp.mlp_init([3, 4, 4, 3], activation="tanh", rng=rng))
+    nonlinear.t_net.biases[0][:] = rng.standard_normal(4)
+    seq = cp.sequence(list(seq.layers) + [nonlinear], ambient_dim=6)
+    back = cp.sequence_from_json(cp.sequence_to_json(seq))
+    assert_bitwise_equal(seq, back)
     x = rng.standard_normal(6)
     assert np.array_equal(cp.apply(seq, x), cp.apply(back, x))
-    for a, b in zip(seq.layers[:-1], back.layers[:-1]):
-        assert np.array_equal(a.dense if hasattr(a, "dense") else a.scale,
-                              b.dense if hasattr(b, "dense") else b.scale)
+
+
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+FINITE_FLOAT64 = st.one_of(st.sampled_from(EDGE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FINITE_FLOAT64, min_size=30, max_size=30))
+def test_sequence_json_roundtrip_bitwise_property(values):
+    # every finite float64 bit pattern survives in every array a layer stores;
+    # where a layer invariant forbids a zero, it becomes the smallest subnormal
+    v = iter(values)
+    take = lambda *shape: np.fromiter(v, np.float64, count=int(np.prod(shape))).reshape(shape)
+    nonzero = lambda a: np.where(a != 0.0, a, np.copysign(5e-324, a))
+    net = lambda **kw: cp.Mlp(weights=[take(2, 1), take(1, 2)], biases=[take(1), take(2)], **kw)
+    seq = cp.sequence([
+        cp.LinearCouplingLayer(side=cp.LOWER, dense=take(2, 2), diag=np.abs(nonzero(take(2)))),
+        cp.ActNormLayer(scale=nonzero(take(4))),
+        cp.NonlinearCouplingLayer(side=cp.UPPER, s_net=net(output_transform="exptanh"),
+                                  t_net=net(activation="tanh")),
+        cp.LinearCouplingLayer(side=cp.UPPER, dense=take(2, 2), diag=np.abs(nonzero(take(2)))),
+    ])
+    assert_bitwise_equal(seq, cp.sequence_from_json(cp.sequence_to_json(seq)))
 
 
 def test_sequence_json_text_pinned():
-    # the wire format: row-major float64 values, each in its shortest repr,
-    # whatever the memory order or integer dtype of the stored array
+    # the wire format: each array is base64 of its row-major little-endian
+    # float64 bytes, whatever the memory order or integer dtype it is stored in
     s_net = cp.Mlp(weights=[np.array([[0.5], [-1.25], [1e-300]]), np.array([[0.1, -0.0, 3.0]])],
                    biases=[np.array([2.5e-8]), np.array([1 / 3, 0.0, -2.0])], activation="tanh",
                    output_transform="exptanh")
@@ -317,19 +373,53 @@ def test_sequence_json_text_pinned():
         cp.ActNormLayer(scale=np.array([1.5, -0.25, 1e-5, 2.0, -3.0, np.pi])),
         cp.NonlinearCouplingLayer(side=cp.UPPER, s_net=s_net, t_net=t_net),
     ])
-    assert cp.sequence_to_json(seq) == (
+    text = (
         '{"ambient_dim": 6, "layers": ['
         '{"kind": "linear", "side": "lower", "dim_half": 3, '
-        '"dense": [1.0, 4.0, 7.0, 2.0, 5.0, 8.0, 3.0, 6.0, 9.0], '
-        '"diag": [0.1, 1.0, 123456789.125]}, '
-        '{"kind": "actnorm", "scale": [1.5, -0.25, 1e-05, 2.0, -3.0, 3.141592653589793]}, '
+        '"dense": "AAAAAAAA8D8AAAAAAAAQQAAAAAAAABxAAAAAAAAAAEAAAAAAAAAUQAAAAAAAACBA'
+        'AAAAAAAACEAAAAAAAAAYQAAAAAAAACJA", '
+        '"diag": "mpmZmZmZuT8AAAAAAADwPwAAgFQ0b51B"}, '
+        '{"kind": "actnorm", "scale": "AAAAAAAA+D8AAAAAAADQv/Fo44i1+OQ+AAAAAAAAAEAAAAAAAAAIwBgtRFT7IQlA"}, '
         '{"kind": "nonlinear", "side": "upper", '
         '"s_net": {"widths": [3, 1, 3], "activation": "tanh", "output_transform": "exptanh", '
-        '"weights": [[0.5, -1.25, 1e-300], [0.1, -0.0, 3.0]], '
-        '"biases": [[2.5e-08], [0.3333333333333333, 0.0, -2.0]]}, '
+        '"weights": ["AAAAAAAA4D8AAAAAAAD0v1nz+MIfbqUB", "mpmZmZmZuT8AAAAAAAAAgAAAAAAAAAhA"], '
+        '"biases": ["SK+8mvLXWj4=", "VVVVVVVV1T8AAAAAAAAAAAAAAAAAAADA"]}, '
         '"t_net": {"widths": [3, 1, 3], "activation": "relu", "output_transform": "identity", '
-        '"weights": [[2.0, 7e+22, -4.0], [1.0, 0.3, 0.2]], '
-        '"biases": [[0.0], [-0.7, 5.0, 6.0]]}}]}')
+        '"weights": ["AAAAAAAAAEDANQhLaqWtRAAAAAAAABDA", "AAAAAAAA8D8zMzMzMzPTP5qZmZmZmck/"], '
+        '"biases": ["AAAAAAAAAAA=", "ZmZmZmZm5r8AAAAAAAAUQAAAAAAAABhA"]}}]}')
+    assert cp.sequence_to_json(seq) == text
+    assert_bitwise_equal(seq, cp.sequence_from_json(text))
+
+
+def _tamper(layer, path, value):
+    """layer_to_dict(layer) with the array field at ``path`` replaced."""
+    doc = cp.layer_to_dict(layer)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value(node[path[-1]])
+    return doc
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("dense",), lambda s: [1.0, 0.0, 0.0, 1.0], "dense"),
+    (("diag",), lambda s: s[:4] + "!" + s[5:], "diag"),
+    (("scale",), lambda s: base64.b64encode(b"\0" * 12).decode(), "scale"),
+    (("dense",), lambda s: s[:-12], "dense"),
+    (("t_net", "biases", 1), lambda s: s[:-12], r"t_net\.biases\[1\]"),
+    (("s_net", "weights", 0), lambda s: base64.b64encode(b"\0" * 40).decode(), r"s_net\.weights\[0\]"),
+    (("t_net", "biases"), lambda s: s[:-1], "t_net"),
+    (("s_net", "weights"), lambda s: s + s[-1:], "s_net"),
+], ids=["number-list", "not-base64", "not-whole-floats", "not-dim-half-squared",
+        "bias-not-widths", "weight-not-widths", "bias-count", "weight-count"])
+def test_layer_from_dict_rejects_malformed_array(path, value, field):
+    layers = {"dense": cp.identity_layer(2), "diag": cp.identity_layer(2),
+              "scale": cp.ActNormLayer(scale=np.ones(4)),
+              "t_net": constant_nonlinear_layer(2, 0.5, 0.5),
+              "s_net": constant_nonlinear_layer(2, 0.5, 0.5)}
+    doc = _tamper(layers[path[0]], path, value)
+    with pytest.raises(ValueError, match=field):
+        cp.layer_from_dict(doc)
 
 
 def test_layer_invariants_enforced():

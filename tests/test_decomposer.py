@@ -383,35 +383,34 @@ def test_decompose_calls_no_eigen_solver(monkeypatch):
 
 
 def test_verify_exact_and_closed_form():
+    # the residual a decomposition is checked by: ||as_matrix(layers) - t||_F / ||t||_F
     rng = np.random.default_rng(7)
     t = random_positive_det(rng, 4)
     res = dc.decompose(t)
-    assert dc.verify(res, t) <= 1e-10
+    assert relative_frobenius(cp.as_matrix(res.layers), t) <= 1e-10
     # identity layers against 2I: residual is exactly 1/2
-    empty = dc.DecompositionResult(layers=cp.sequence([], ambient_dim=4), residual=0.0,
-                                   stage_log=[])
-    assert abs(dc.verify(empty, 2 * np.eye(4)) - 0.5) <= 1e-14
+    empty = cp.sequence([], ambient_dim=4)
+    assert abs(relative_frobenius(cp.as_matrix(empty), 2 * np.eye(4)) - 0.5) <= 1e-14
 
 
 def test_verify_perturbation_sensitivity():
     rng = np.random.default_rng(8)
     t = random_positive_det(rng, 4)
     res = dc.decompose(t)
-    base = dc.verify(res, t)
+    base = relative_frobenius(cp.as_matrix(res.layers), t)
     layer = res.layers.layers[0]
     bumped_dense = layer.dense.copy()
     bumped_dense[0, 0] += 1e-6
     bumped = cp.LinearCouplingLayer(side=layer.side, dense=bumped_dense, diag=layer.diag)
     seq = cp.sequence([bumped] + list(res.layers.layers[1:]), ambient_dim=4)
-    res2 = dc.DecompositionResult(layers=seq, residual=0.0, stage_log=[])
-    moved = dc.verify(res2, t)
+    moved = relative_frobenius(cp.as_matrix(seq), t)
     assert 1e-9 <= abs(moved - base) <= 1e-3
 
 
 def test_verify_dimension_mismatch():
     res = dc.decompose(np.eye(4))
     with pytest.raises(ValueError):
-        dc.verify(res, np.eye(6))
+        relative_frobenius(cp.as_matrix(res.layers), np.eye(6))
 
 
 def test_decompose_layer_pair_count():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from couplingflow import harness, matcore
+from couplingflow import coupling, decomposer, harness, matcore
 from couplingflow.harness import ConfigError, ExperimentConfig
 
 
@@ -45,6 +45,28 @@ def test_decompose_cli_roundtrip(tmp_path):
     assert set(manifest["files"]) == {"layers", "report"}
     for path in manifest["files"].values():
         assert os.path.exists(path)
+
+
+def test_decompose_cli_layers_file_reads_back_bitwise(tmp_path):
+    # the layers file is the in-process decomposition, bit for bit
+    rng = np.random.default_rng(16)
+    t = rng.standard_normal((16, 16))
+    if matcore.det(t) < 0:
+        t[0] = -t[0]
+    mat_path = tmp_path / "t.mat"
+    matcore.write_mat1(mat_path, t)
+    assert np.array_equal(matcore.read_mat1(mat_path), t)
+    outdir = tmp_path / "out"
+    assert harness.main(["--out", str(outdir), "decompose", "--input", str(mat_path)]) == 0
+    served = coupling.sequence_from_json((outdir / "layers.json").read_text())
+    local = decomposer.decompose(t).layers
+    assert served.ambient_dim == local.ambient_dim == 16
+    assert len(served) == len(local) > 0
+    for a, b in zip(local.layers, served.layers):
+        assert a.side == b.side
+        for x, y in ((a.dense, b.dense), (a.diag, b.diag)):
+            assert x.shape == y.shape
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def test_decompose_cli_exit_codes(tmp_path):
