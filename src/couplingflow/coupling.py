@@ -163,9 +163,9 @@ class LinearCouplingLayer:
         d = self.dense.shape[0]
         if self.dense.shape != (d, d) or self.diag.shape != (d,):
             raise ValueError("block shape mismatch")
-        if np.any(self.diag <= 0.0):
+        if (self.diag <= 0.0).any():
             raise ValueError("diagonal block must be strictly positive")
-        if not (np.all(np.isfinite(self.dense)) and np.all(np.isfinite(self.diag))):
+        if not (np.isfinite(self.dense).all() and np.isfinite(self.diag).all()):
             raise ValueError("non-finite layer entries")
 
     @property
@@ -415,6 +415,20 @@ def _unarr(text, field, shape=-1):
         raise ValueError(f"{field}: {exc}") from exc
 
 
+def _field(doc, key, kind=object, where=""):
+    """``doc[key]`` when ``doc`` is a JSON object holding a ``kind`` there (a
+    bool is not an int); a ValueError naming the field otherwise."""
+    name = where + key
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name}: expected a JSON object around it, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{name}: missing")
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def layer_to_dict(layer) -> dict:
     if isinstance(layer, LinearCouplingLayer):
         return {"kind": "linear", "side": layer.side, "dim_half": layer.dense.shape[0],
@@ -434,26 +448,30 @@ def _mlp_to_dict(mlp: Mlp) -> dict:
 
 
 def _mlp_from_dict(d, net) -> Mlp:
-    shapes = list(zip(d["widths"], d["widths"][1:]))
-    if not len(d["weights"]) == len(d["biases"]) == len(shapes):
-        raise ValueError(f"{net}: widths {d['widths']} do not fit its weights and biases")
-    weights = [_unarr(a, f"{net}.weights[{k}]", shapes[k]) for k, a in enumerate(d["weights"])]
-    biases = [_unarr(a, f"{net}.biases[{k}]", shapes[k][1]) for k, a in enumerate(d["biases"])]
-    return Mlp(weights=weights, biases=biases, activation=d["activation"],
-               output_transform=d["output_transform"])
+    widths, weights, biases = (_field(d, key, list, f"{net}.")
+                               for key in ("widths", "weights", "biases"))
+    shapes = list(zip(widths, widths[1:]))
+    if not len(weights) == len(biases) == len(shapes):
+        raise ValueError(f"{net}: widths {widths} do not fit its weights and biases")
+    return Mlp(weights=[_unarr(a, f"{net}.weights[{k}]", shapes[k]) for k, a in enumerate(weights)],
+               biases=[_unarr(a, f"{net}.biases[{k}]", shapes[k][1]) for k, a in enumerate(biases)],
+               activation=_field(d, "activation", str, f"{net}."),
+               output_transform=_field(d, "output_transform", str, f"{net}."))
 
 
 def layer_from_dict(d) -> object:
-    kind = d["kind"]
+    kind = _field(d, "kind", str)
     if kind == "linear":
-        dh = d["dim_half"]
-        return LinearCouplingLayer(side=d["side"], dense=_unarr(d["dense"], "dense", (dh, dh)),
-                                   diag=_unarr(d["diag"], "diag", (dh,)))
+        dh = _field(d, "dim_half", int)
+        return LinearCouplingLayer(side=_field(d, "side", str),
+                                   dense=_unarr(_field(d, "dense"), "dense", (dh, dh)),
+                                   diag=_unarr(_field(d, "diag"), "diag", (dh,)))
     if kind == "actnorm":
-        return ActNormLayer(scale=_unarr(d["scale"], "scale"))
+        return ActNormLayer(scale=_unarr(_field(d, "scale"), "scale"))
     if kind == "nonlinear":
-        return NonlinearCouplingLayer(side=d["side"], s_net=_mlp_from_dict(d["s_net"], "s_net"),
-                                      t_net=_mlp_from_dict(d["t_net"], "t_net"))
+        return NonlinearCouplingLayer(side=_field(d, "side", str),
+                                      s_net=_mlp_from_dict(_field(d, "s_net"), "s_net"),
+                                      t_net=_mlp_from_dict(_field(d, "t_net"), "t_net"))
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
@@ -464,4 +482,5 @@ def sequence_to_json(seq: LayerSequence) -> str:
 
 def sequence_from_json(text: str) -> LayerSequence:
     doc = json.loads(text)
-    return LayerSequence(tuple(layer_from_dict(d) for d in doc["layers"]), doc["ambient_dim"])
+    layers = tuple(layer_from_dict(d) for d in _field(doc, "layers", list))
+    return LayerSequence(layers, _field(doc, "ambient_dim", int))

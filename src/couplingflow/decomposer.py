@@ -3,12 +3,16 @@ coupling layers.
 
 The pipeline mirrors the constructive route: factor the target as
 lower-triangular times upper-triangular times permutation, simulate the
-permutation up to signs with at most 21 coupling matrices (signed swaps,
-plus two involutions realized by parallel transposition gadgets), absorb
-the leftover signs into the upper factor, and build each triangular factor
-with at most 13 matrices (one block elimination, six sign-flip matrices,
-two diagonal rescalings, four for the block-diagonal construction). Total
-budget: 21 + 13 + 13 = 47 matrices.
+permutation up to signs with signed-swap rounds (a crossing round plus two
+involutions realized by parallel transposition gadgets), absorb the
+leftover signs into the upper factor, and build each triangular factor
+from one block elimination, a doubled signed-swap round of sign flips, two
+diagonal rescalings and the four-matrix block-diagonal construction. Every
+stage appends through ``_extend``, which merges adjacent linear couplings
+on the same side. Budget: 15 matrices for the permutation and 11 per
+triangular factor (10 on the upper side); a lower factor that needs all 11
+starts with a layer that merges into the upper factor's last, so 35 in all
+(unmerged, 21 + 13 + 13 = 47).
 
 All emitted layers have strictly positive diagonal blocks, so any product
 of them is orientation preserving.
@@ -34,9 +38,9 @@ from couplingflow.errors import (
 )
 from couplingflow.metrics import relative_frobenius
 
-PERMUTATION_BUDGET = 21
-TRIANGULAR_BUDGET = 13
-TOTAL_BUDGET = 47
+PERMUTATION_BUDGET = 15
+TRIANGULAR_BUDGET = 11
+TOTAL_BUDGET = 35
 RESIDUAL_WARN_RTOL = 1e-6  # decompose warns when its product misses the target by more
 
 
@@ -56,6 +60,26 @@ class DecompositionResult:
     def layer_pair_count(self):
         """Count in coupling-layer pairs (two matrices per layer pair)."""
         return -(-self.matrix_count // 2)
+
+
+# ---------------------------------------------------------------------------
+# appending layers
+
+
+def _extend(layers: list, new) -> int:
+    """Append the linear layers ``new`` to ``layers`` in apply order and
+    return how far the list grew. A layer on the same side as the last one
+    merges into it: L(A2, b2) after L(A1, b1) is L(diag(b2) A1 + A2, b2 b1)."""
+    start = len(layers)
+    for layer in new:
+        last = layers[-1] if layers else None
+        if last is not None and last.side == layer.side:
+            layers[-1] = LinearCouplingLayer(side=layer.side,
+                                             dense=layer.diag[:, None] * last.dense + layer.dense,
+                                             diag=layer.diag * last.diag)
+        else:
+            layers.append(layer)
+    return len(layers) - start
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +184,12 @@ def _involution_rounds(sigma, d):
 
 def permutation_layers(p) -> LayerSequence:
     """Coupling product agreeing entrywise in absolute value with the
-    permutation matrix of ``p`` (indices on 2d coordinates), using at most
-    21 matrices. The product determinant is positive by construction.
+    permutation matrix of ``p`` (indices on 2d coordinates). The product
+    determinant is positive by construction.
+
+    At most seven signed-swap rounds (one crossing round, at most three per
+    involution) of three matrices; consecutive rounds merge their lower
+    layers where they meet, so at most 7 * 3 - 6 = 15 matrices.
     """
     p = matcore.check_permutation(p)
     n = p.shape[0]
@@ -179,7 +207,7 @@ def permutation_layers(p) -> LayerSequence:
 
     layers = []
     if cross_pairs:
-        layers += list(signed_swap_layers(d, cross_pairs).layers)
+        _extend(layers, signed_swap_layers(d, cross_pairs).layers)
 
     # remaining permutation fixes each half setwise
     rho = matcore.compose_permutations(p, kappa)
@@ -187,7 +215,7 @@ def permutation_layers(p) -> LayerSequence:
     sigma1, sigma2 = order2_factor(rho)
     for sigma in (sigma1, sigma2):
         for rnd in _involution_rounds(sigma, d):
-            layers += list(signed_swap_layers(d, rnd).layers)
+            _extend(layers, signed_swap_layers(d, rnd).layers)
 
     seq = sequence(layers, ambient_dim=n)
     assert len(seq) <= PERMUTATION_BUDGET
@@ -354,13 +382,16 @@ def _inverse_multiset_match(alpha, diag_second, rtol=1e-12):
 
 def triangular_layers(tri, side: str = LOWER):
     """Decompose a triangular 2d x 2d matrix with positive determinant into
-    at most 13 coupling matrices; returns (layers, stage_log).
+    at most 11 coupling matrices; returns (layers, stage_log).
 
-    Stages (matrix budget): eliminate the off-diagonal block (1), equalize
-    the negative diagonal counts of the two halves with paired sign flips
-    (6), rescale the diagonal so the first-half entries are distinct and the
-    second half carries their inverses (2), then apply the block-diagonal
-    construction (4). ``stage_log`` holds (stage, matrix count) pairs.
+    Stages (unmerged matrix count): eliminate the off-diagonal block (1),
+    equalize the negative diagonal counts of the two halves with paired
+    sign flips (6), rescale the diagonal so the first-half entries are
+    distinct and the second half carries their inverses (2), then apply the
+    block-diagonal construction (4). Appended in apply order (eliminate,
+    blockdiag, rescale, signflip), adjacent same-side layers merge: at most
+    11 matrices on the lower side and 10 on the upper. ``stage_log`` holds
+    (stage, growth of the layer list) pairs, which sum to ``len(layers)``.
     """
     tri = matcore.as_matrix_array(tri)
     n = tri.shape[0]
@@ -377,7 +408,6 @@ def triangular_layers(tri, side: str = LOWER):
     if float(np.prod(np.sign(diag))) < 0.0:
         raise NegativeDeterminantError("triangular factor has negative determinant")
 
-    stage_log = []
     ones = np.ones(d)
     # the layer on ``side`` keeps one half of the coordinates and updates
     # the other, as coupling._halves splits them
@@ -392,22 +422,19 @@ def triangular_layers(tri, side: str = LOWER):
         elim_layers = [LinearCouplingLayer(side=side, dense=x, diag=ones.copy())]
         g0 = tri.copy()
         g0[upd, kept] = 0.0
-    stage_log.append(("eliminate", len(elim_layers)))
 
     # stage 2: sign flips to equalize negative counts across the halves
     diag0 = np.diag(g0)
     flip_pairs = _sign_flip_pairs(diag0[:d], diag0[d:])
-    flip_layers = []
+    flip_layers = ()
     g1 = g0
     if flip_pairs:
-        flip_layers = list(signed_swap_layers(d, flip_pairs).layers)
-        flip_layers += list(signed_swap_layers(d, flip_pairs).layers)
+        flip_layers = 2 * signed_swap_layers(d, flip_pairs).layers
         f_diag = np.ones(n)
         for a, b in flip_pairs:
             f_diag[a] = -1.0
             f_diag[d + b] = -1.0
         g1 = f_diag[:, None] * g0
-    stage_log.append(("signflip", len(flip_layers)))
 
     # stage 3: diagonal rescale for distinctness and matched inverses
     diag1 = np.diag(g1)
@@ -425,7 +452,6 @@ def triangular_layers(tri, side: str = LOWER):
             LinearCouplingLayer(side=LOWER, dense=np.zeros((d, d)), diag=1.0 / f_second),
         ]
         g2 = np.concatenate([f_first, f_second])[:, None] * g1
-    stage_log.append(("rescale", len(rescale_layers)))
 
     # stage 4: block-diagonal construction
     m_blk = g2[:d, :d]
@@ -433,11 +459,11 @@ def triangular_layers(tri, side: str = LOWER):
     diag2 = np.diag(g2)
     gap = float(np.min(np.diff(np.sort(diag2[:d])))) if d > 1 else 1.0
     block_seq = block_diag_layers(m_blk, s_blk, min_gap=0.5 * gap)
-    stage_log.append(("blockdiag", len(block_seq)))
 
-    # assemble in apply order: eliminate, blockdiag, rescale, sign flips
-    layers = list(elim_layers) + list(block_seq.layers)
-    layers += rescale_layers + flip_layers
+    layers = []
+    stage_log = [(name, _extend(layers, stage)) for name, stage in (
+        ("eliminate", elim_layers), ("blockdiag", block_seq.layers),
+        ("rescale", rescale_layers), ("signflip", flip_layers))]
     seq = sequence(layers, ambient_dim=n)
     assert len(seq) <= TRIANGULAR_BUDGET
     return seq, stage_log
@@ -448,8 +474,9 @@ def triangular_layers(tri, side: str = LOWER):
 
 
 def decompose(t) -> DecompositionResult:
-    """Decompose a positive-determinant matrix into at most 47 coupling
-    matrices, recording per-stage consumption and the reconstruction
+    """Decompose a positive-determinant matrix into at most 35 coupling
+    matrices, recording per-stage consumption (the growth of the layer
+    list, so the counts sum to the matrix count) and the reconstruction
     residual.
     """
     t = matcore.as_matrix_array(t)
@@ -479,9 +506,9 @@ def decompose(t) -> DecompositionResult:
     p_tilde = as_matrix(perm_seq)
 
     remainder = t @ p_tilde.T
-    stage_log = [("permutation", len(perm_seq))]
+    layers = list(perm_seq.layers)
+    stage_log = [("permutation", len(layers))]
     if relative_frobenius(remainder, np.eye(n)) <= 1e-12:
-        seq = perm_seq
         stage_log += [("upper", 0), ("lower", 0)]
     else:
         # p_tilde is the permutation matrix of pi_right up to the sign of
@@ -496,8 +523,9 @@ def decompose(t) -> DecompositionResult:
         lower_seq, _ = triangular_layers(l_left, side=LOWER)
         upper_seq, _ = triangular_layers(u2, side=UPPER)
         # apply order: permutation, then upper factor, then lower factor
-        seq = perm_seq + upper_seq + lower_seq
-        stage_log += [("upper", len(upper_seq)), ("lower", len(lower_seq))]
+        stage_log += [("upper", _extend(layers, upper_seq.layers)),
+                      ("lower", _extend(layers, lower_seq.layers))]
+    seq = sequence(layers, ambient_dim=n)
 
     residual = relative_frobenius(as_matrix(seq), t)
     if residual > RESIDUAL_WARN_RTOL:

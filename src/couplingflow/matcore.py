@@ -140,17 +140,6 @@ def det(a) -> float:
     return float(f.parity * np.prod(np.diag(f.upper)))
 
 
-def slogdet(a):
-    """(sign, log|det|) via LUP; sign 0 for a singular-to-tolerance input."""
-    try:
-        f = lup(a)
-    except SingularMatrixError:
-        return 0, -np.inf
-    d = np.diag(f.upper)
-    sign = f.parity * int(np.prod(np.sign(d)))
-    return sign, float(np.sum(np.log(np.abs(d))))
-
-
 def solve(a, b) -> np.ndarray:
     """Solve a @ x = b for a vector or a matrix of right-hand sides: one LUP
     factorization, then two triangular solves."""

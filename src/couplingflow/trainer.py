@@ -391,13 +391,6 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
 # synthetic 2-D datasets
 
 
-def dataset_sample(kind: str, n: int, seed: int) -> np.ndarray:
-    """Deterministic 2-D samples for the named synthetic dataset."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _dataset_batch(kind, n, stream(seed, "dataset", kind))
-
-
 def two_moons_raw(n: int, rng) -> np.ndarray:
     """Two interleaved half circles with Gaussian jitter, pre-normalization."""
     theta = rng.uniform(0.0, np.pi, size=n)

@@ -33,7 +33,7 @@ def gaussian_positive_det(rng, n, max_cond=1e4):
     conditioning on det > 0."""
     while True:
         t = rng.standard_normal((n, n))
-        sign, _ = mc.slogdet(t)
+        sign, _ = np.linalg.slogdet(t)
         if sign == 0:
             continue
         if sign < 0:

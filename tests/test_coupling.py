@@ -1,4 +1,5 @@
 import base64
+import json
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -155,7 +156,7 @@ def test_coupling_products_orientation_preserving():
     rng = np.random.default_rng(4)
     for trial in range(20):
         seq = random_linear_sequence(rng, 3, int(rng.integers(1, 6)))
-        sign, _ = mc.slogdet(cp.as_matrix(seq))
+        sign, _ = np.linalg.slogdet(cp.as_matrix(seq))
         assert sign > 0
 
 
@@ -276,7 +277,7 @@ def test_log_det_matches_lup_slogdet_of_jacobian():
         cp.ActNormLayer(scale=np.array([1.5, -0.5, 2.0, 0.25])),
     ], ambient_dim=4)
     x = rng.standard_normal(4)
-    _, expected = mc.slogdet(cp.jacobian(seq, x))
+    _, expected = np.linalg.slogdet(cp.jacobian(seq, x))
     assert abs(cp.log_det_jacobian(seq, x) - expected) <= 1e-8
 
 
@@ -420,6 +421,27 @@ def test_layer_from_dict_rejects_malformed_array(path, value, field):
     doc = _tamper(layers[path[0]], path, value)
     with pytest.raises(ValueError, match=field):
         cp.layer_from_dict(doc)
+
+
+def _linear_doc(**changes):
+    """A one-layer linear layers document with its layer fields changed; a
+    value of None drops the field."""
+    layer = dict(cp.layer_to_dict(cp.identity_layer(2)), **changes)
+    return {"ambient_dim": 4, "layers": [{k: v for k, v in layer.items() if v is not None}]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"layers": []}, "ambient_dim"),
+    (_linear_doc(diag=None), "diag"),
+    (_linear_doc(dim_half="2"), "dim_half"),
+    ([], "layers"),
+    ({"ambient_dim": 4, "layers": [[]]}, "kind"),
+    ({"ambient_dim": 4.0, "layers": []}, "ambient_dim"),
+], ids=["no-ambient-dim", "no-diag", "string-dim-half", "top-level-list", "layer-not-object",
+        "float-ambient-dim"])
+def test_sequence_from_json_names_the_malformed_field(doc, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        cp.sequence_from_json(json.dumps(doc))
 
 
 def test_layer_invariants_enforced():

@@ -38,7 +38,7 @@ def test_decompose_cli_roundtrip(tmp_path):
     code = harness.main(["--out", str(outdir), "decompose", "--input", str(mat_path)])
     assert code == 0
     report = json.loads((outdir / "report.json").read_text())
-    assert report["matrix_count"] <= 47
+    assert report["matrix_count"] <= 35
     assert report["residual"] <= 1e-6
     assert (outdir / "layers.json").exists()
     manifest = json.loads((outdir / "manifest.json").read_text())

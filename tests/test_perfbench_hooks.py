@@ -4,7 +4,9 @@
 and ``perfbench/workloads.py::StepClock`` wraps both Adam ``update``
 methods. A refactor that renames or moves one of them breaks tracing, so
 this file loads the tracer by path and checks that it installs, counts
-and restores.
+and restores. It also loads ``perfbench/checks.py`` and runs the
+benchmark's decomposition and permutation checkers on fresh outputs, so a
+change the benchmark would refuse fails here first.
 """
 
 import importlib.util
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 # the tracer patches these modules, so all of them must be loaded
 from couplingflow import (  # noqa: F401
@@ -25,11 +28,11 @@ from couplingflow import (  # noqa: F401
     universal,
 )
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -46,7 +49,7 @@ def _snapshot(tracing):
 
 
 def test_tracer_installs_counts_and_restores():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     before = _snapshot(tracing)
     tracer = tracing.Tracer()
     tracer.install()
@@ -69,3 +72,21 @@ def test_step_clock_finds_both_adam_updates():
     # StepClock reads cls.__dict__["update"] on both optimizer classes
     assert "update" in trainer.AdamState.__dict__
     assert "update" in trainer.AdamList.__dict__
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_benchmark_checkers_accept_decompositions_and_permutations(n):
+    checks = _load("checks")
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        # the benchmark's targets: Gaussian, det > 0 and cond <= 1e4
+        target = rng.standard_normal((n, n))
+        while np.linalg.cond(target) > 1e4:
+            target = rng.standard_normal((n, n))
+        if np.linalg.det(target) < 0:
+            target[0] = -target[0]
+        seq = decomposer.decompose(target).layers
+        round_trip = coupling.sequence_from_json(coupling.sequence_to_json(seq))
+        assert checks.check_decomposition(target, seq, round_trip) is None
+        p = rng.permutation(n)
+        assert checks.check_permutation_layers(p, decomposer.permutation_layers(p)) is None
