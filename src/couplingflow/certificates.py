@@ -26,7 +26,6 @@ carry the d real nonzero eigenvalues of a real diagonal S.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from couplingflow import matcore
 from couplingflow.coupling import LOWER, UPPER, LinearCouplingLayer, as_matrix, sequence
@@ -97,18 +96,6 @@ def four_product(a, b, c, d_blk, e, f, g, h) -> FourProduct:
     x_inv = matcore.inv(x)
     return FourProduct(t=t, witness=z - a @ x, x_inv_cg=x_inv @ np.diag(c * g), bf=b * f,
                        x_inv_c=x_inv @ np.diag(c))
-
-
-def spectra_match(s1, s2, rtol: float = 1e-6) -> bool:
-    """Multiset comparison of two spectra by optimal matching."""
-    s1 = np.asarray(s1)
-    s2 = np.asarray(s2)
-    if s1.shape != s2.shape:
-        return False
-    scale = max(matcore.spectral_radius(s1), matcore.spectral_radius(s2), 1e-300)
-    cost = np.abs(s1[:, None] - s2[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return bool(np.max(cost[rows, cols]) <= rtol * scale)
 
 
 def cycle_permutation_matrix(d: int) -> np.ndarray:

@@ -57,13 +57,12 @@ class Mlp:
         return self.weights[-1].shape[1]
 
 
-def mlp_init(widths, activation="relu", output_transform="identity", rng=None, scale=None):
-    """He/Xavier-style initialization for the given layer widths."""
-    rng = rng or np.random.default_rng(0)
+def mlp_init(widths, activation="relu", output_transform="identity", *, rng):
+    """He/Xavier-style initialization for the given layer widths, drawn
+    from ``rng``."""
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        std = scale if scale is not None else np.sqrt(1.0 / fan_in)
-        weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
+        weights.append(rng.normal(0.0, np.sqrt(1.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return Mlp(weights=weights, biases=biases, activation=activation,
                output_transform=output_transform)
@@ -224,11 +223,6 @@ class LayerSequence:
     def __len__(self):
         return len(self.layers)
 
-    def __add__(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return LayerSequence(self.layers + other.layers, self.ambient_dim)
-
 
 def sequence(layers, ambient_dim=None) -> LayerSequence:
     layers = tuple(layers)
@@ -329,21 +323,11 @@ def _couple_rows(side, dense, diag, m: np.ndarray) -> None:
     dst += dense @ src
 
 
-def layer_matrix(layer) -> np.ndarray:
-    """Dense matrix of a single linear layer."""
-    m = np.eye(layer.ambient_dim)
-    _left_multiply(layer, m)
-    return m
-
-
-def as_matrix(seq) -> np.ndarray:
-    """Matrix realization of a linear layer or sequence of linear layers.
-
-    For a sequence this is the product of the per-layer matrices in reverse
-    order, so it acts on column vectors exactly like apply().
+def as_matrix(seq: LayerSequence) -> np.ndarray:
+    """Matrix realization of a sequence of linear and actnorm layers: the
+    product of the per-layer matrices in reverse order, so it acts on
+    column vectors exactly like apply().
     """
-    if not isinstance(seq, LayerSequence):
-        return layer_matrix(seq)
     m = np.eye(seq.ambient_dim)
     for layer in seq.layers:
         _left_multiply(layer, m)

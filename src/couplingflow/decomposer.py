@@ -371,15 +371,6 @@ def _matched_inverses(alpha, diag_second):
     return gamma / diag_second
 
 
-def _inverse_multiset_match(alpha, diag_second, rtol=1e-12):
-    if np.any(np.sign(np.sort(alpha)) != np.sign(np.sort(diag_second))):
-        return False
-    want = np.sort(1.0 / alpha)
-    have = np.sort(diag_second)
-    scale = np.max(np.abs(want))
-    return bool(np.max(np.abs(want - have)) <= rtol * scale)
-
-
 def triangular_layers(tri, side: str = LOWER):
     """Decompose a triangular 2d x 2d matrix with positive determinant into
     at most 11 coupling matrices; returns (layers, stage_log).
@@ -387,7 +378,8 @@ def triangular_layers(tri, side: str = LOWER):
     Stages (unmerged matrix count): eliminate the off-diagonal block (1),
     equalize the negative diagonal counts of the two halves with paired
     sign flips (6), rescale the diagonal so the first-half entries are
-    distinct and the second half carries their inverses (2), then apply the
+    distinct and the second half carries their inverses (2, always, even
+    where the diagonal already has that form), then apply the
     block-diagonal construction (4). Appended in apply order (eliminate,
     blockdiag, rescale, signflip), adjacent same-side layers merge: at most
     11 matrices on the lower side and 10 on the upper. ``stage_log`` holds
@@ -438,20 +430,13 @@ def triangular_layers(tri, side: str = LOWER):
 
     # stage 3: diagonal rescale for distinctness and matched inverses
     diag1 = np.diag(g1)
-    rescale_layers = []
-    g2 = g1
-    if _inverse_multiset_match(diag1[:d], diag1[d:]) and (
-        d == 1 or np.min(np.diff(np.sort(diag1[:d]))) > 1e-9 * np.max(np.abs(diag1[:d]))
-    ):
-        pass  # already in block-diagonal construction form
-    else:
-        alpha, f_first = _geometric_targets(diag1[:d], d)
-        f_second = _matched_inverses(alpha, diag1[d:])
-        rescale_layers = [
-            LinearCouplingLayer(side=UPPER, dense=np.zeros((d, d)), diag=1.0 / f_first),
-            LinearCouplingLayer(side=LOWER, dense=np.zeros((d, d)), diag=1.0 / f_second),
-        ]
-        g2 = np.concatenate([f_first, f_second])[:, None] * g1
+    alpha, f_first = _geometric_targets(diag1[:d], d)
+    f_second = _matched_inverses(alpha, diag1[d:])
+    rescale_layers = [
+        LinearCouplingLayer(side=UPPER, dense=np.zeros((d, d)), diag=1.0 / f_first),
+        LinearCouplingLayer(side=LOWER, dense=np.zeros((d, d)), diag=1.0 / f_second),
+    ]
+    g2 = np.concatenate([f_first, f_second])[:, None] * g1
 
     # stage 4: block-diagonal construction
     m_blk = g2[:d, :d]

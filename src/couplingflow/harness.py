@@ -105,9 +105,8 @@ _SCHEMAS = {
         "batch_size": (int, 128, None),
     },
     "train-mle": {
-        "dataset": (str, "four_gaussians",
-                    ("gaussian", "four_gaussians", "swissroll", "two_moons", "checkerboard")),
-        "padding": (str, "none", ("none", "zero", "gaussian")),
+        "dataset": (str, "four_gaussians", tuple(trainer.DATASETS)),
+        "padding": (str, "none", tuple(trainer.PADDINGS)),
         "steps": (int, 3000, None),
         "lr": (float, 1e-3, None),
         "batch_size": (int, 128, None),
@@ -224,22 +223,29 @@ def record_jsonl(record: trainer.RunRecord, meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plot_data(jsonl_texts) -> str:
+def emit_plot_data(jsonl_docs) -> str:
     """Long-format CSV (experiment, d, variant, seed, step, metric, value)
-    from RunRecord JSONL documents."""
+    from RunRecord JSONL documents, given as (name, text) pairs; a line that
+    is not a record of numeric metrics is a ConfigError naming its document."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["experiment", "d", "variant", "seed", "step", "metric", "value"])
     known = {"experiment", "d", "variant", "seed", "step"}
-    for text in jsonl_texts:
-        for line in text.splitlines():
+    for name, text in jsonl_docs:
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+                values = [(key, repr(float(row[key]))) for key in sorted(set(row) - known)]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"records {name} line {lineno}: {exc}") from exc
             base = [row.get("experiment", ""), row.get("d", ""), row.get("variant", ""),
                     row.get("seed", ""), row.get("step", "")]
-            for key in sorted(set(row) - known):
-                writer.writerow(base + [key, repr(float(row[key]))])
+            for key, value in values:
+                writer.writerow(base + [key, value])
     return buf.getvalue()
 
 
@@ -307,13 +313,22 @@ def _affine_target(dim: int):
 
 
 def _load_target(spec_str: str, dim: int):
+    """The transport on ``dim`` coordinates that ``spec_str`` names; a
+    quantile file must hold one well-formed table per coordinate."""
     if spec_str == "affine":
         return _affine_target(dim)
-    if spec_str.startswith("quantile:"):
-        with open(spec_str.split(":", 1)[1]) as fh:
-            doc = json.load(fh)
-        return universal.quantile_transport([(tbl["values"], tbl["cdf"]) for tbl in doc])
-    raise ConfigError(f"unknown target {spec_str!r}")
+    if not spec_str.startswith("quantile:"):
+        raise ConfigError(f"unknown target {spec_str!r}")
+    path = spec_str.split(":", 1)[1]
+    try:
+        with open(path) as fh:
+            tables = [(tbl["values"], tbl["cdf"]) for tbl in json.load(fh)]
+        phi = universal.quantile_transport(tables)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"target {path}: {type(exc).__name__}: {exc}") from exc
+    if phi.dim != dim:
+        raise ConfigError(f"target {path} holds {phi.dim} tables; this mode and dim need {dim}")
+    return phi
 
 
 def _run_universal(params, seed):
@@ -373,8 +388,6 @@ def _run_separation(params, seed):
         witness = sep.w1_witness(sep.exact_mixture_sample(mu, n, seed),
                                  sep.exact_mixture_sample(nu, n, seed + 1),
                                  mu.means, gamma)
-    bounds = sep.SeparationBounds(lipschitz=10.0, radius=10.0, d_params=k * d,
-                                  params_per_layer=d, k=k, c2=gamma**2)
     report = {
         "selector_w1_estimate": plan.cost,
         "selector_w1_bound": sep.selector_w1_bound(net),
@@ -382,8 +395,8 @@ def _run_separation(params, seed):
         "codebook": codebook_stats,
         "witness": witness,
         "witness_scale": gamma * np.sqrt(d),
-        "epsnet_log_size": sep.epsnet_log_size(bounds, eps),
-        "kl_lower_bound": sep.kl_lower_bound(witness or 0.0, bounds.c2),
+        "epsnet_log_size": sep.epsnet_log_size(10.0, 10.0, k * d, eps),
+        "kl_lower_bound": sep.kl_lower_bound(witness or 0.0, gamma**2),
     }
     return {"report": ("report.json", report)}
 
@@ -439,11 +452,14 @@ def _run_train_mle(params, seed):
 
 
 def _run_plot_data(params, seed):
-    texts = []
+    docs = []
     for path in params["records"].split(","):
-        with open(path) as fh:
-            texts.append(fh.read())
-    return {"csv": (params["csv_name"], emit_plot_data(texts))}
+        try:
+            with open(path) as fh:
+                docs.append((path, fh.read()))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"records {path}: {exc}") from exc
+    return {"csv": (params["csv_name"], emit_plot_data(docs))}
 
 
 _RUNNERS = {

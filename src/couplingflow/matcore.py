@@ -295,7 +295,11 @@ def read_mat1(path) -> np.ndarray:
     if len(tokens) < 3 or tokens[0] != "MAT1":
         raise ValueError("not a MAT1 file")
     rows, cols = int(tokens[1]), int(tokens[2])
-    vals = [float(t) for t in tokens[3:]]
+    if min(rows, cols) < 1:
+        raise ValueError(f"dimensions {rows} x {cols} are not positive")
+    vals = np.array([float(t) for t in tokens[3:]])
     if len(vals) != rows * cols:
         raise ValueError(f"expected {rows * cols} values, got {len(vals)}")
-    return np.array(vals).reshape(rows, cols)
+    if not np.isfinite(vals).all():
+        raise ValueError("matrix has non-finite entries")
+    return vals.reshape(rows, cols)

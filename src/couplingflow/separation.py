@@ -205,10 +205,6 @@ class SelectorNet:
         lower = np.concatenate([r, zeros], axis=1)     # next ramp
         return upper - lower
 
-    def in_transition_zone(self, h):
-        h = np.asarray(h, dtype=np.float64)[:, None]
-        return np.any((h > self.zone_lo) & (h < self.zone_hi), axis=1)
-
     def evaluate(self, h, z):
         """The generator f(h, z); h is (n,), z is (n, d)."""
         ind = self.indicators(h)
@@ -222,12 +218,6 @@ class SelectorNet:
         """The exact indicator map: gamma z + mu_{interval(h)}."""
         idx = np.searchsorted(self.thresholds, np.asarray(h, dtype=np.float64), side="left")
         return self.mixture.gamma * np.asarray(z) + self.mixture.means[idx]
-
-    def sample(self, n: int, seed: int, exact: bool = False):
-        rng = stream(seed, "separation", "selector", n)
-        h = rng.standard_normal(n)
-        z = rng.standard_normal((n, self.mixture.dim))
-        return (self.evaluate_exact if exact else self.evaluate)(h, z)
 
 
 def selector_delta(eps: float, gamma: float, d: int, k: int) -> float:
@@ -278,34 +268,16 @@ def w1_witness(samples_mu, samples_nu, separated_means, gamma: float) -> float:
     return float(np.mean(phi(samples_mu)) - np.mean(phi(samples_nu)))
 
 
-@dataclass(frozen=True)
-class SeparationBounds:
-    """Constants entering the epsilon-net count: Lipschitz bound L, parameter
-    radius R, total parameter count d_params, parameters per layer p, network
-    size parameter k, subgaussian constant c2."""
-
-    lipschitz: float
-    radius: float
-    d_params: int
-    params_per_layer: int
-    k: int
-    c2: float
-
-    def __post_init__(self):
-        vals = (self.lipschitz, self.radius, self.d_params, self.params_per_layer,
-                self.k, self.c2)
-        if any(v <= 0 for v in vals):
-            raise ValueError("all bound constants must be positive")
-
-
-def epsnet_log_size(bounds: SeparationBounds, eps: float) -> float:
-    """log of the epsilon-net size bound (L R / eps)^{d'}, constant dropped."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ratio = bounds.lipschitz * bounds.radius / eps
+def epsnet_log_size(lipschitz: float, radius: float, d_params: int, eps: float) -> float:
+    """log of the epsilon-net size bound (L R / eps)^{d'} for Lipschitz
+    bound L, parameter radius R and total parameter count d', constant
+    dropped."""
+    if min(lipschitz, radius, d_params, eps) <= 0:
+        raise ValueError("lipschitz, radius, d_params and eps must be positive")
+    ratio = lipschitz * radius / eps
     if ratio <= 1.0:
         return 0.0
-    return bounds.d_params * math.log(ratio)
+    return d_params * math.log(ratio)
 
 
 def kl_lower_bound(w1: float, c2: float) -> float:

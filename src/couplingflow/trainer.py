@@ -400,45 +400,63 @@ def two_moons_raw(n: int, rng) -> np.ndarray:
     return np.stack([x, y], axis=1) + 0.1 * rng.standard_normal((n, 2))
 
 
+def _four_gaussians(n: int, rng) -> np.ndarray:
+    comp = rng.integers(0, 4, size=n)
+    centers = np.array([[2.0, 2.0], [2.0, -2.0], [-2.0, 2.0], [-2.0, -2.0]])
+    return centers[comp] + 0.3 * rng.standard_normal((n, 2))
+
+
+def _swissroll(n: int, rng) -> np.ndarray:
+    t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
+    pts = np.stack([t * np.cos(t), t * np.sin(t)], axis=1)
+    return pts / 7.5 + 0.02 * rng.standard_normal((n, 2))
+
+
+def _checkerboard(n: int, rng) -> np.ndarray:
+    x1 = rng.uniform(-2.0, 2.0, size=n)
+    x2 = rng.uniform(0.0, 1.0, size=n) - rng.integers(0, 2, size=n) * 2.0
+    x2 = x2 + np.floor(x1) % 2
+    return np.stack([x1, x2], axis=1) / 2.0
+
+
+# the 2-D dataset families by name, each a sampler (n, rng) -> (n, 2) array
+DATASETS = {
+    "gaussian": lambda n, rng: rng.standard_normal((n, 2)),
+    "four_gaussians": _four_gaussians,
+    "swissroll": _swissroll,
+    "two_moons": lambda n, rng: (two_moons_raw(n, rng) - np.array([0.5, 0.25])) / 0.9,
+    "checkerboard": _checkerboard,
+}
+
+
 # ---------------------------------------------------------------------------
 # max-likelihood training with padding
 
 
 DEQUANT_NOISE = 1e-4  # jitter on zero-padded coordinates; keeps the likelihood finite
 
+# the paddings by name, each a sampler (n, rng) -> (n, width) array appended
+# to the data
+PADDINGS = {
+    "none": lambda n, rng: np.empty((n, 0)),
+    "zero": lambda n, rng: DEQUANT_NOISE * rng.standard_normal((n, 2)),
+    "gaussian": lambda n, rng: rng.standard_normal((n, 2)),
+}
 
-def _padded_batch(kind: str, padding: str, batch_size: int, rng) -> np.ndarray:
-    base = _dataset_batch(kind, batch_size, rng)
-    if padding == "none":
-        return base
-    if padding == "zero":
-        pad = DEQUANT_NOISE * rng.standard_normal((batch_size, 2))
-        return np.concatenate([base, pad], axis=1)
-    if padding == "gaussian":
-        pad = rng.standard_normal((batch_size, 2))
-        return np.concatenate([base, pad], axis=1)
-    raise ValueError(f"unknown padding {padding!r}")
+
+def _lookup(table: dict, name: str, what: str):
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}")
+    return table[name]
 
 
 def _dataset_batch(kind: str, batch_size: int, rng) -> np.ndarray:
-    if kind == "gaussian":
-        return rng.standard_normal((batch_size, 2))
-    if kind == "four_gaussians":
-        comp = rng.integers(0, 4, size=batch_size)
-        centers = np.array([[2.0, 2.0], [2.0, -2.0], [-2.0, 2.0], [-2.0, -2.0]])
-        return centers[comp] + 0.3 * rng.standard_normal((batch_size, 2))
-    if kind == "swissroll":
-        t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=batch_size)
-        pts = np.stack([t * np.cos(t), t * np.sin(t)], axis=1)
-        return pts / 7.5 + 0.02 * rng.standard_normal((batch_size, 2))
-    if kind == "two_moons":
-        return (two_moons_raw(batch_size, rng) - np.array([0.5, 0.25])) / 0.9
-    if kind == "checkerboard":
-        x1 = rng.uniform(-2.0, 2.0, size=batch_size)
-        x2 = rng.uniform(0.0, 1.0, size=batch_size) - rng.integers(0, 2, size=batch_size) * 2.0
-        x2 = x2 + np.floor(x1) % 2
-        return np.stack([x1, x2], axis=1) / 2.0
-    raise ValueError(f"unknown dataset {kind!r}")
+    return _lookup(DATASETS, kind, "dataset")(batch_size, rng)
+
+
+def _padded_batch(kind: str, padding: str, batch_size: int, rng) -> np.ndarray:
+    base = _dataset_batch(kind, batch_size, rng)
+    return np.concatenate([base, _lookup(PADDINGS, padding, "padding")(batch_size, rng)], axis=1)
 
 
 def _nll(y: np.ndarray, logdet: np.ndarray) -> float:

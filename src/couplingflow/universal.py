@@ -113,10 +113,9 @@ def quantile_transport(tables) -> QuantileTransport:
 
 @dataclass(frozen=True)
 class GridRounder:
-    """Rounds to the nearest point of eps * Z^dim."""
+    """Rounds each coordinate to the nearest multiple of eps."""
 
     eps: float
-    dim: int
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -250,7 +249,7 @@ def build_lattice_net(phi, eps: float, eps1: float, eps2: float,
     if eps1 > eps / 4.0 * slack or eps2 > eps1 / 4.0 * slack:
         raise ValueError("schedule violation: need eps1 <= eps/4 and eps2 <= eps1/4")
     return LatticeNet(transport=phi, eps=float(eps), eps1=float(eps1), eps2=float(eps2),
-                      rounder=GridRounder(eps=float(eps), dim=phi.dim // 2),
+                      rounder=GridRounder(eps=float(eps)),
                       truncation=float(m))
 
 
@@ -259,7 +258,9 @@ def build_lattice_net(phi, eps: float, eps1: float, eps2: float,
 
 
 def gaussian_inputs(net, n_samples: int, seed: int) -> np.ndarray:
-    """The deterministic Gaussian input batch used by push_samples."""
+    """The deterministic Gaussian input batch a network pushes forward:
+    n_samples rows of ambient width, zero on the padding half of a
+    PaddedNet."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = stream(seed, "universal", "inputs")
@@ -267,11 +268,6 @@ def gaussian_inputs(net, n_samples: int, seed: int) -> np.ndarray:
         data = rng.standard_normal((n_samples, net.data_dim))
         return np.concatenate([data, np.zeros_like(data)], axis=1)
     return rng.standard_normal((n_samples, net.ambient_dim))
-
-
-def push_samples(net, n_samples: int, seed: int) -> np.ndarray:
-    """Push a seeded Gaussian batch through the network."""
-    return net.apply(gaussian_inputs(net, n_samples, seed))
 
 
 def reference_pushforward(net, inputs: np.ndarray) -> np.ndarray:

@@ -28,11 +28,14 @@ def random_linear_sequence(rng, d, n_layers, with_actnorm=False):
 def constant_nonlinear_layer(d, s_bias, t_bias, side=cp.LOWER):
     """Coupling whose networks ignore the input: s = exp(tanh(s_bias))."""
     widths = [d, 4, 4, d]
-    s_net = cp.mlp_init(widths, output_transform="exptanh", scale=0.0)
-    t_net = cp.mlp_init(widths, scale=0.0)
-    s_net.biases[-1][:] = s_bias
-    t_net.biases[-1][:] = t_bias
-    return cp.NonlinearCouplingLayer(side=side, s_net=s_net, t_net=t_net)
+
+    def zero_net(output_transform, bias):
+        return cp.Mlp(weights=[np.zeros(shape) for shape in zip(widths, widths[1:])],
+                      biases=[np.zeros(w) for w in widths[1:-1]] + [np.full(d, float(bias))],
+                      output_transform=output_transform)
+
+    return cp.NonlinearCouplingLayer(side=side, s_net=zero_net("exptanh", s_bias),
+                                     t_net=zero_net("identity", t_bias))
 
 
 def test_apply_identity_lower_layer():
@@ -119,18 +122,18 @@ def test_unknown_layer_type_rejected():
 def test_as_matrix_block_structure():
     a = np.array([[1.0, 2], [3, 4]])
     b = np.array([0.5, 2.0])
-    m = cp.as_matrix(cp.LinearCouplingLayer(side=cp.LOWER, dense=a, diag=b))
+    m = cp.as_matrix(cp.sequence([cp.LinearCouplingLayer(side=cp.LOWER, dense=a, diag=b)]))
     expect = np.eye(4)
     expect[2:, :2] = a
     expect[2:, 2:] = np.diag(b)
     assert np.array_equal(m, expect)
-    m = cp.as_matrix(cp.LinearCouplingLayer(side=cp.UPPER, dense=a, diag=b))
+    m = cp.as_matrix(cp.sequence([cp.LinearCouplingLayer(side=cp.UPPER, dense=a, diag=b)]))
     expect = np.eye(4)
     expect[:2, :2] = np.diag(b)
     expect[:2, 2:] = a
     assert np.array_equal(m, expect)
-    assert np.array_equal(cp.as_matrix(cp.ActNormLayer(scale=np.array([2.0, 3, 4, 5]))),
-                          np.diag([2.0, 3, 4, 5]))
+    actnorm = cp.ActNormLayer(scale=np.array([2.0, 3, 4, 5]))
+    assert np.array_equal(cp.as_matrix(cp.sequence([actnorm])), np.diag([2.0, 3, 4, 5]))
 
 
 def test_as_matrix_empty_sequence():
@@ -142,7 +145,7 @@ def test_as_matrix_matches_layer_product():
     seq = random_linear_sequence(rng, 2, 4)
     m = np.eye(4)
     for layer in seq.layers:
-        m = cp.as_matrix(layer) @ m
+        m = cp.as_matrix(cp.sequence([layer])) @ m
     assert np.allclose(cp.as_matrix(seq), m, rtol=1e-13)
 
 
@@ -287,7 +290,7 @@ def test_log_det_additive_under_concatenation():
     seq2 = random_linear_sequence(rng, 2, 3)
     x = rng.standard_normal(4)
     mid = cp.apply(seq1, x)
-    total = cp.log_det_jacobian(seq1 + seq2, x)
+    total = cp.log_det_jacobian(cp.sequence(seq1.layers + seq2.layers), x)
     assert abs(total - cp.log_det_jacobian(seq1, x) - cp.log_det_jacobian(seq2, mid)) <= 1e-12
 
 

@@ -178,7 +178,7 @@ def test_plot_data_roundtrip(tmp_path):
 
 
 def test_emit_plot_data_empty():
-    csv_text = harness.emit_plot_data([""])
+    csv_text = harness.emit_plot_data([("empty.jsonl", "")])
     assert csv_text.strip() == "experiment,d,variant,seed,step,metric,value"
 
 
@@ -263,6 +263,49 @@ def test_cli_rejects_bad_values_before_running(tmp_path, capsys, args):
     outdir = tmp_path / "out"
     assert harness.main(["--out", str(outdir)] + args) == 1
     assert "validation error" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def _quantile_tables(count, decreasing=False, drop=None):
+    vals = np.linspace(-3.0, 3.0, 5)
+    cdf = np.linspace(0.1, 0.9, 5)
+    tables = [{"values": list(vals[::-1] if decreasing else vals), "cdf": list(cdf)}
+              for _ in range(count)]
+    for tbl in tables:
+        tbl.pop(drop, None)
+    return json.dumps(tables)
+
+
+@pytest.mark.parametrize("args, name, content", [
+    (["decompose"], "nan.mat", "MAT1 2 2\n1.0 nan\n0.0 1.0\n"),
+    (["decompose"], "inf.mat", "MAT1 2 2\n1.0 0.0\ninf 1.0\n"),
+    (["decompose"], "empty.mat", "MAT1 0 0\n"),
+    (["certify", "--d", "1"], "nan.mat", "MAT1 2 2\n1.0 nan\n0.0 1.0\n"),
+    (["universal", "--mode", "padded", "--dim", "2"], "bad.json", "[{"),
+    (["universal", "--mode", "padded", "--dim", "2"], "nocdf.json",
+     _quantile_tables(2, drop="cdf")),
+    (["universal", "--mode", "padded", "--dim", "2"], "down.json", _quantile_tables(2, True)),
+    (["universal", "--mode", "padded", "--dim", "1"], "two.json", _quantile_tables(2)),
+    (["universal", "--mode", "lattice", "--dim", "1"], "three.json", _quantile_tables(3)),
+    (["universal", "--mode", "padded", "--dim", "2"], "object.json", '{"values": [1, 2]}'),
+    (["plot-data"], "r.jsonl", '{"step": 0, "loss": 1.0}\nnot json\n'),
+    (["plot-data"], "r.jsonl", '{"step": 0, "loss": "high"}\n'),
+    (["plot-data"], "r.jsonl", b"\xff\xfe not utf-8\n"),
+], ids=["decompose-nan", "decompose-inf", "decompose-0x0", "certify-nan", "quantile-bad-json",
+        "quantile-no-cdf", "quantile-decreasing", "padded-count", "lattice-count",
+        "quantile-object", "plot-data-not-json", "plot-data-not-numeric", "plot-data-not-utf8"])
+def test_cli_names_malformed_input_files(tmp_path, capsys, args, name, content):
+    # a malformed input file is a validation error naming the file, never a
+    # traceback or a run on something other than what was asked
+    path = tmp_path / name
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    flag = {"decompose": "--input", "certify": "--input", "universal": "--target",
+            "plot-data": "--records"}[args[0]]
+    value = f"quantile:{path}" if args[0] == "universal" else str(path)
+    outdir = tmp_path / "out"
+    assert harness.main(["--out", str(outdir)] + args + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and str(path) in err
     assert not outdir.exists()
 
 

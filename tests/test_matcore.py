@@ -318,6 +318,20 @@ def test_mat1_rejects_garbage(tmp_path):
         mc.read_mat1(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("MAT1 1 2\n1.0 nan\n", "non-finite"),
+    ("MAT1 2 1\n-inf\n0.0\n", "non-finite"),
+    ("MAT1 0 0\n", "not positive"),
+    ("MAT1 0 3\n", "not positive"),
+    ("MAT1 -1 -1\n1.0\n", "not positive"),
+])
+def test_mat1_rejects_non_finite_and_empty(tmp_path, text, match):
+    path = tmp_path / "bad.mat"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        mc.read_mat1(path)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 

@@ -112,7 +112,7 @@ def test_selector_agrees_with_exact_outside_zones():
     rng = stream(16, "agree")
     h = rng.standard_normal(5000)
     z = rng.standard_normal((5000, 16))
-    outside = ~net.in_transition_zone(h)
+    outside = ~np.any((h[:, None] > net.zone_lo) & (h[:, None] < net.zone_hi), axis=1)
     diff = net.evaluate(h, z) - net.evaluate_exact(h, z)
     assert np.max(np.abs(diff[outside])) == 0.0
 
@@ -130,12 +130,6 @@ def test_selector_pushforward_w1_bound():
         plan = metrics.empirical_wasserstein(net.evaluate(h, z), net.evaluate_exact(h, z),
                                              metrics.W1)
         assert plan.cost <= sep.selector_w1_bound(net)
-
-
-def test_selector_sample_determinism():
-    mix = sep.random_mixture(4, 8, 1.0, seed=19)
-    net = sep.build_selector_net(mix, 0.01)
-    assert np.array_equal(net.sample(100, seed=20), net.sample(100, seed=20))
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +184,10 @@ def test_witness_rejects_empty():
 
 
 def test_epsnet_log_size():
-    b = sep.SeparationBounds(lipschitz=np.e, radius=np.e, d_params=1,
-                             params_per_layer=1, k=1, c2=1.0)
-    assert abs(sep.epsnet_log_size(b, 1.0) - 2.0) <= 1e-12
-    assert sep.epsnet_log_size(b, np.e * np.e) == 0.0
-    b2 = sep.SeparationBounds(lipschitz=np.e, radius=np.e, d_params=2,
-                              params_per_layer=1, k=1, c2=1.0)
-    assert abs(sep.epsnet_log_size(b2, 1.0) - 2 * sep.epsnet_log_size(b, 1.0)) <= 1e-12
+    assert abs(sep.epsnet_log_size(np.e, np.e, 1, 1.0) - 2.0) <= 1e-12
+    assert sep.epsnet_log_size(np.e, np.e, 1, np.e * np.e) == 0.0
+    assert abs(sep.epsnet_log_size(np.e, np.e, 2, 1.0)
+               - 2 * sep.epsnet_log_size(np.e, np.e, 1, 1.0)) <= 1e-12
 
 
 def test_kl_lower_bound():
@@ -211,6 +202,6 @@ def test_kl_lower_bound():
 
 
 def test_bounds_validation():
-    with pytest.raises(ValueError):
-        sep.SeparationBounds(lipschitz=0.0, radius=1, d_params=1,
-                             params_per_layer=1, k=1, c2=1)
+    for args in ((0.0, 1.0, 1, 1.0), (1.0, -1.0, 1, 1.0), (1.0, 1.0, 0, 1.0), (1.0, 1.0, 1, 0.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            sep.epsnet_log_size(*args)

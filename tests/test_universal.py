@@ -25,7 +25,7 @@ def test_truncate():
 
 
 def test_grid_rounder_basics():
-    g = uv.GridRounder(eps=0.5, dim=2)
+    g = uv.GridRounder(eps=0.5)
     x = np.array([[0.6, -0.2], [1.24, 0.76]])
     f = g.round(x)
     assert np.allclose(f % 0.5, 0.0)
@@ -40,7 +40,7 @@ def test_grid_rounder_recovery_property(seed):
     rng = np.random.default_rng(seed)
     eps = 0.5
     eps1 = eps * eps / 4.0
-    g = uv.GridRounder(eps=eps, dim=3)
+    g = uv.GridRounder(eps=eps)
     x = 4.0 * rng.standard_normal(3)
     y = rng.uniform(-1, 1, size=3) * (0.49 * eps / eps1)
     z = g.round(x) + eps1 * y
@@ -226,10 +226,10 @@ def test_lattice_log_det_constant():
 
 def test_push_samples_deterministic():
     net = uv.build_padded_net(affine_2d(), m=6.0)
-    s1 = uv.push_samples(net, 64, seed=9)
-    s2 = uv.push_samples(net, 64, seed=9)
+    s1 = net.apply(uv.gaussian_inputs(net, 64, seed=9))
+    s2 = net.apply(uv.gaussian_inputs(net, 64, seed=9))
     assert np.array_equal(s1, s2)
-    s3 = uv.push_samples(net, 64, seed=10)
+    s3 = net.apply(uv.gaussian_inputs(net, 64, seed=10))
     assert not np.array_equal(s1, s3)
 
 
