@@ -68,48 +68,47 @@ def mlp_init(widths, activation="relu", output_transform="identity", *, rng):
                output_transform=output_transform)
 
 
-def _act(name, u):
+def _act_deriv(name, h):
+    """Derivative of the hidden activation, read off its output h: relu
+    gives h > 0 (0 at exactly 0), tanh gives 1 - h^2."""
     if name == "relu":
-        return np.maximum(u, 0.0)
+        return h > 0.0
     if name == "tanh":
-        return np.tanh(u)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_deriv(name, u):
-    # relu derivative at exactly 0 is taken as 0
-    if name == "relu":
-        return (u > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - np.tanh(u) ** 2
+        return 1.0 - h**2
     raise ValueError(f"unknown activation {name!r}")
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray):
-    """Evaluate the net on a batch (n, in_dim). Returns (output, cache) where
-    cache holds pre-activations for the backward pass."""
-    h = x
-    pre = []
+    """Evaluate the net on a batch (n, in_dim). Returns (output, cache).
+
+    Each layer adds its bias and applies its activation in place on its
+    matmul result. The cache holds what the backward pass needs and nothing
+    else: ``hidden``, the input followed by each layer's output (the last
+    one before the output transform), and ``out``. Derivatives are taken
+    from these activations, so no pre-activation is kept."""
     hidden = [x]
     last = len(mlp.weights) - 1
     for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        u = h @ w + b
-        pre.append(u)
-        h = u if k == last else _act(mlp.activation, u)
+        h = hidden[-1] @ w
+        h += b
+        if k == last:
+            pass  # the output layer is affine; its transform comes below
+        elif mlp.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif mlp.activation == "tanh":
+            np.tanh(h, out=h)
+        else:
+            raise ValueError(f"unknown activation {mlp.activation!r}")
         hidden.append(h)
-    if mlp.output_transform == "exptanh":
-        out = np.exp(np.tanh(h))
-    else:
-        out = h
-    return out, {"pre": pre, "hidden": hidden, "out": out}
+    out = np.exp(np.tanh(h)) if mlp.output_transform == "exptanh" else h
+    return out, {"hidden": hidden, "out": out}
 
 
 def mlp_backward(mlp: Mlp, cache, dout):
     """Reverse-mode gradients. Returns (grad_weights, grad_biases, dx)."""
-    pre, hidden = cache["pre"], cache["hidden"]
+    hidden = cache["hidden"]
     if mlp.output_transform == "exptanh":
-        u = pre[-1]
-        dh = dout * cache["out"] * (1.0 - np.tanh(u) ** 2)
+        dh = dout * cache["out"] * (1.0 - np.tanh(hidden[-1]) ** 2)
     else:
         dh = dout
     grad_w = [None] * len(mlp.weights)
@@ -117,7 +116,8 @@ def mlp_backward(mlp: Mlp, cache, dout):
     last = len(mlp.weights) - 1
     for k in range(last, -1, -1):
         if k != last:
-            dh = dh * _act_deriv(mlp.activation, pre[k])
+            # dh is the fresh product of the layer above, so scale it in place
+            dh *= _act_deriv(mlp.activation, hidden[k + 1])
         grad_w[k] = hidden[k].T @ dh
         grad_b[k] = np.sum(dh, axis=0)
         dh = dh @ mlp.weights[k].T
@@ -130,16 +130,16 @@ def _mlp_jacobians(mlp: Mlp, cache) -> np.ndarray:
 
     Carried transposed, as (n, in_dim, width), so each weight is one matrix
     product over all rows."""
-    pre = cache["pre"]
-    n, in_dim = cache["hidden"][0].shape
+    hidden = cache["hidden"]
+    n, in_dim = hidden[0].shape
     jac_t = np.broadcast_to(np.eye(in_dim), (n, in_dim, in_dim))
     last = len(mlp.weights) - 1
     for k, w in enumerate(mlp.weights):
         jac_t = (jac_t.reshape(n * in_dim, w.shape[0]) @ w).reshape(n, in_dim, w.shape[1])
         if k != last:
-            jac_t = jac_t * _act_deriv(mlp.activation, pre[k])[:, None, :]
+            jac_t *= _act_deriv(mlp.activation, hidden[k + 1])[:, None, :]
     if mlp.output_transform == "exptanh":
-        jac_t = jac_t * (cache["out"] * (1.0 - np.tanh(pre[-1]) ** 2))[:, None, :]
+        jac_t *= (cache["out"] * (1.0 - np.tanh(hidden[-1]) ** 2))[:, None, :]
     return jac_t.transpose(0, 2, 1)
 
 
@@ -364,24 +364,28 @@ def jacobian(seq: LayerSequence, x: np.ndarray) -> np.ndarray:
     return jac[0] if single else jac
 
 
-def log_det_jacobian(seq: LayerSequence, x: np.ndarray) -> float:
-    """log |det| of the Jacobian at one point x (2d,): per layer, sum(log s)
-    of its coupling step, or sum(log |scale|) for actnorm."""
+def apply_with_log_det(seq: LayerSequence, x: np.ndarray):
+    """Apply the sequence to a point x (2d,) or a batch x (n, 2d) and return
+    (y, log_det): y as ``apply`` gives it, and log |det| of the Jacobian at
+    each input row, shape x.shape[:-1] (a 0-d array for a point).
+
+    The layers are walked once. Each adds sum(log s) of its coupling step,
+    or sum(log |scale|) for actnorm, and no net keeps a backward cache, so
+    this is the evaluation-only forward of a trained flow."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (seq.ambient_dim,):
-        raise ValueError(f"log_det_jacobian takes one point of shape "
-                         f"({seq.ambient_dim},), got {x.shape}")
-    total = 0.0
+    if x.shape[-1] != seq.ambient_dim:
+        raise ValueError(f"input dim {x.shape[-1]} != ambient {seq.ambient_dim}")
+    log_det = np.zeros(x.shape[:-1])
     for layer in seq.layers:
         if isinstance(layer, ActNormLayer):
-            total += float(np.sum(np.log(np.abs(layer.scale))))
+            log_det += np.sum(np.log(np.abs(layer.scale)))
             x = apply_layer(layer, x)
             continue
         kept, passive = _halves(layer.side, x)
         s, t = _scale_shift(layer, kept)
-        total += float(np.sum(np.log(s)))
+        log_det += np.sum(np.log(s), axis=-1)
         x = _join(layer.side, kept, passive * s + t)
-    return total
+    return x, log_det
 
 
 # ---------------------------------------------------------------------------

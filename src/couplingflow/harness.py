@@ -524,8 +524,8 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            print(f"config error: {args.config}: {exc}", file=sys.stderr)
             return 1
         subcommand = doc.get("subcommand", args.subcommand)
         params = doc.get("params", {})

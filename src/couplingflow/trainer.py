@@ -291,8 +291,10 @@ def _stack_params(layers) -> list:
 
 
 def _stack_forward(layers, x: np.ndarray):
-    """Forward through the coupling stack, caching everything the backward
-    pass needs; logdet is the per-sample sum of log scale outputs."""
+    """Forward through the coupling stack for a training step, caching
+    everything the backward pass needs; logdet is the per-sample sum of log
+    scale outputs. Evaluation goes through ``coupling.apply_with_log_det``,
+    which keeps no cache."""
     caches = []
     logdet = np.zeros(x.shape[0])
     for layer in layers:
@@ -344,6 +346,7 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
     if architecture == "coupling_stack":
         layers = _coupling_stack(d, n_pairs, hidden, activation="tanh", seed=seed)
         params = _stack_params(layers)
+        seq = coupling.sequence(layers, ambient_dim=d)
 
         def forward(z):
             out, caches, _ = _stack_forward(layers, z)
@@ -351,6 +354,9 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
 
         def backward(caches, dout):
             return _stack_backward(layers, caches, dout)
+
+        def evaluate(z):
+            return coupling.apply(seq, z)
     elif architecture == "small_mlp":
         net = mlp_init([d, hidden, hidden, d], activation="tanh",
                        rng=stream(seed, "mlp-init", d, hidden))
@@ -362,6 +368,9 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
         def backward(cache, dout):
             gw, gb, _ = mlp_backward(net, cache, dout)
             return gw + gb
+
+        def evaluate(z):
+            return mlp_forward(net, z)[0]
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
 
@@ -380,7 +389,7 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
 
     z = batches.standard_normal((1024, d))
     y = _regression_target(target, z, lin)
-    out, _ = forward(z)
+    out = evaluate(z)
     final_loss = float(np.mean(np.sum((out - y) ** 2, axis=1)) / d)
     record.log(config.steps, loss=final_loss)
     record.final = {"loss": final_loss}
@@ -470,7 +479,9 @@ def train_nvp_mle(dataset: str, padding: str, config: TrainConfig, seed: int,
     """Max-likelihood training of a nonlinear coupling stack (normalizing
     direction) with the chosen padding.
 
-    At each log point the record holds the eval-batch NLL, ``nll_batch_max``
+    Each training step runs ``_stack_forward``, which keeps the backward
+    caches. At each log point the record holds the eval-batch NLL, computed
+    by ``coupling.apply_with_log_det`` with no cache, ``nll_batch_max``
     (the largest training-batch NLL since the previous log point) and the
     median and max log10 condition number of the Jacobian over a fixed probe
     batch. One probe is one ``coupling.jacobian`` call on the whole batch and
@@ -502,7 +513,7 @@ def train_nvp_mle(dataset: str, padding: str, config: TrainConfig, seed: int,
             raise DivergedRunError(f"NLL diverged at step {step}", record)
         batch_max = max(batch_max, nll)
         if step % config.log_interval == 0:
-            ey, _, elogdet = _stack_forward(layers, eval_batch)
+            ey, elogdet = coupling.apply_with_log_det(seq, eval_batch)
             cond_med, cond_max = probe_condition()
             record.log(step, nll=_nll(ey, elogdet), nll_batch_max=batch_max,
                        cond_log10_median=cond_med, cond_log10_max=cond_max)
@@ -511,7 +522,7 @@ def train_nvp_mle(dataset: str, padding: str, config: TrainConfig, seed: int,
         grads = _stack_backward(layers, caches, dy, logdet_coeff=-1.0 / config.batch_size)
         adam.update(grads)
 
-    ey, _, elogdet = _stack_forward(layers, eval_batch)
+    ey, elogdet = coupling.apply_with_log_det(seq, eval_batch)
     cond_med, cond_max = probe_condition()
     final_nll = _nll(ey, elogdet)
     # the final window always holds the last step, even if it was logged

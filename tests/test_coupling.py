@@ -110,7 +110,7 @@ def test_unknown_layer_type_rejected():
         ambient_dim: int = 4
 
     # a sequence refuses any other object, so apply, invert, jacobian and
-    # log_det_jacobian never meet one
+    # apply_with_log_det never meet one
     for foreign in (ForeignLayer(), SimpleNamespace(ambient_dim=4)):
         with pytest.raises(TypeError, match="unknown layer type"):
             cp.sequence([cp.identity_layer(2), foreign])
@@ -257,41 +257,58 @@ def test_jacobian_batch_matches_finite_differences_per_row():
 
 def test_log_det_identity_zero():
     seq = cp.sequence([cp.identity_layer(2)])
-    assert cp.log_det_jacobian(seq, np.zeros(4)) == 0.0
-    # one point only: a batch or a wrong dimension is an error, not a sum
-    for bad in (np.zeros((3, 4)), np.zeros(6)):
-        with pytest.raises(ValueError, match=r"shape \(4,\)"):
-            cp.log_det_jacobian(seq, bad)
+    y, log_det = cp.apply_with_log_det(seq, np.zeros(4))
+    assert np.array_equal(y, np.zeros(4)) and log_det.shape == () and log_det == 0.0
+    # a batch gives one value per row; a wrong dimension is an error
+    assert np.array_equal(cp.apply_with_log_det(seq, np.ones((3, 4)))[1], np.zeros(3))
+    with pytest.raises(ValueError, match="ambient 4"):
+        cp.apply_with_log_det(seq, np.zeros(6))
 
 
 def test_log_det_diag_layer():
     layer = cp.LinearCouplingLayer(side=cp.LOWER, dense=np.zeros((2, 2)),
-                                   diag=np.array([2.0, 2.0]))
-    val = cp.log_det_jacobian(cp.sequence([layer]), np.ones(4))
-    assert abs(val - np.log(4.0)) <= 1e-14
+                                   diag=np.array([2.0, 3.0]))
+    seq = cp.sequence([layer])
+    _, val = cp.apply_with_log_det(seq, np.ones(4))
+    assert abs(val - np.log(6.0)) <= 1e-14
+    # a linear-only batch: one log 6 per row
+    y, log_det = cp.apply_with_log_det(seq, np.ones((3, 4)))
+    assert log_det.shape == (3,)
+    assert np.allclose(log_det, np.log(6.0), rtol=0.0, atol=1e-14)
+    assert np.array_equal(y, np.tile([1.0, 1.0, 2.0, 3.0], (3, 1)))
 
 
 def test_log_det_matches_lup_slogdet_of_jacobian():
     rng = np.random.default_rng(8)
-    s_net = cp.mlp_init([2, 8, 8, 2], activation="tanh", output_transform="exptanh", rng=rng)
-    t_net = cp.mlp_init([2, 8, 8, 2], activation="tanh", rng=rng)
-    seq = cp.sequence([
-        cp.NonlinearCouplingLayer(side=cp.LOWER, s_net=s_net, t_net=t_net),
-        cp.ActNormLayer(scale=np.array([1.5, -0.5, 2.0, 0.25])),
-    ], ambient_dim=4)
-    x = rng.standard_normal(4)
-    _, expected = np.linalg.slogdet(cp.jacobian(seq, x))
-    assert abs(cp.log_det_jacobian(seq, x) - expected) <= 1e-8
+    seq = mixed_sequence(rng)
+    x = rng.standard_normal((16, 4))
+    y, log_det = cp.apply_with_log_det(seq, x)
+    sign, expected = np.linalg.slogdet(cp.jacobian(seq, x))
+    assert np.all(sign == 1.0)  # the actnorm flips two of the four signs
+    assert np.max(np.abs(log_det - expected)) <= 1e-10
+    assert np.array_equal(y, cp.apply(seq, x))
+
+
+def test_apply_with_log_det_batch_equals_its_rows():
+    rng = np.random.default_rng(11)
+    seq = mixed_sequence(rng)
+    x = rng.standard_normal((9, 4))
+    y, log_det = cp.apply_with_log_det(seq, x)
+    for row, y_row, ld_row in zip(x, y, log_det):
+        y_point, ld_point = cp.apply_with_log_det(seq, row)
+        # equal up to BLAS summation order between a one-row and a 9-row product
+        assert np.allclose(y_point, y_row, rtol=1e-14, atol=1e-14)
+        assert abs(ld_point - ld_row) <= 1e-14
 
 
 def test_log_det_additive_under_concatenation():
     rng = np.random.default_rng(9)
     seq1 = random_linear_sequence(rng, 2, 2)
     seq2 = random_linear_sequence(rng, 2, 3)
-    x = rng.standard_normal(4)
-    mid = cp.apply(seq1, x)
-    total = cp.log_det_jacobian(cp.sequence(seq1.layers + seq2.layers), x)
-    assert abs(total - cp.log_det_jacobian(seq1, x) - cp.log_det_jacobian(seq2, mid)) <= 1e-12
+    x = rng.standard_normal((5, 4))
+    mid, first = cp.apply_with_log_det(seq1, x)
+    _, total = cp.apply_with_log_det(cp.sequence(seq1.layers + seq2.layers), x)
+    assert np.max(np.abs(total - first - cp.apply_with_log_det(seq2, mid)[1])) <= 1e-12
 
 
 def layer_arrays(layer):

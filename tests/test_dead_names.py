@@ -4,8 +4,11 @@ somewhere in the program (``src/`` or ``perfbench/``). Tests do not count,
 so a helper that only tests call fails here and belongs in ``tests/``.
 
 A reference is a name, an attribute, an imported name, or a word or dotted
-word inside a string that is not a docstring, such as the entries of
-perfbench's ``TRACED`` table ("AdamState.update")."""
+word inside a plain string that is not a docstring, such as the entries of
+perfbench's ``TRACED`` table ("AdamState.update"). The text of an f-string
+does not count (the names in its replacement fields do): it is how messages
+are written, and a function whose only mention is its own error message is
+still dead."""
 
 import ast
 import re
@@ -55,8 +58,14 @@ def _docstrings(tree):
             yield node.body[0].value
 
 
+def _fstring_text(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            yield from (part for part in node.values if isinstance(part, ast.Constant))
+
+
 def references(tree):
-    docstrings = set(map(id, _docstrings(tree)))
+    skipped = set(map(id, _docstrings(tree))) | set(map(id, _fstring_text(tree)))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
@@ -65,7 +74,7 @@ def references(tree):
         elif isinstance(node, ast.alias):
             yield from node.name.split(".")
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and id(node) not in docstrings:
+                and id(node) not in skipped:
             for word in DOTTED.findall(node.value):
                 yield from word.split(".")
 
@@ -88,9 +97,9 @@ def test_every_definition_is_used_by_the_program():
 
 def test_scan_sees_each_kind_of_reference():
     tree = ast.parse("'docstring'\nimport a.b\nfrom c import d\ne.f\ng\n"
-                     "T = {'h': ['i.j'], 'k': f'{g} l-m'}\n")
+                     "T = {'h': ['i.j'], 'k': f'{n.o:{p}>4} l-m'}\n")
     assert set(references(tree)) == {"a", "b", "d", "e", "f", "g", "T", "h", "i", "j",
-                                     "k", "l", "m"}
+                                     "k", "n", "o", "p"}
     module = ast.parse("def f():\n    pass\nclass C:\n    def __init__(self):\n        pass\n"
                        "    def m(self):\n        pass\n")
     assert set(definitions(module)) == {"f", "C", "m"}

@@ -158,6 +158,16 @@ def test_config_file_overrides_flags(tmp_path):
     assert report["witness"] is not None
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json"])
+def test_config_file_unreadable_is_a_config_error(tmp_path, capsys, content):
+    # a file that is not UTF-8, or not JSON, exits 1 naming the file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    assert harness.main(["--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_path}: ")
+
+
 def test_plot_data_roundtrip(tmp_path):
     from couplingflow import trainer
     rec = trainer.RunRecord(seed=1)

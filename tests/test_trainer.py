@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,9 +252,44 @@ def test_stack_forward_logdet_matches_coupling_module():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((3, 4))
     y, _, logdet = tr._stack_forward(layers, x)
-    for i in range(3):
-        assert np.max(np.abs(y[i] - cp.apply(seq, x[i]))) <= 1e-12
-        assert abs(logdet[i] - cp.log_det_jacobian(seq, x[i])) <= 1e-10
+    # the evaluation-only walk does the same arithmetic, so it is bitwise equal
+    ey, elogdet = cp.apply_with_log_det(seq, x)
+    assert np.array_equal(ey, y) and np.array_equal(elogdet, logdet)
+
+
+def test_mle_eval_forward_keeps_no_cache():
+    # the 512-row eval batch of train_nvp_mle on its default stack; with every
+    # net's backward cache kept (_stack_forward) it peaks near 24 MB
+    layers = tr._coupling_stack(4, 3, 128, activation="relu", seed=18)
+    seq = cp.sequence(layers, ambient_dim=4)
+    x = tr._padded_batch("four_gaussians", "gaussian", 512, np.random.default_rng(19))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cp.apply_with_log_det(seq, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("activation, fn", [("relu", lambda u: np.maximum(u, 0.0)),
+                                            ("tanh", np.tanh)])
+def test_mlp_cache_holds_activations_only(activation, fn):
+    net = cp.mlp_init([3, 5, 7, 2], activation=activation, output_transform="exptanh",
+                      rng=np.random.default_rng(20))
+    x = np.random.default_rng(21).standard_normal((4, 3))
+    out, cache = cp.mlp_forward(net, x)
+    assert set(cache) == {"hidden", "out"}
+    hidden = cache["hidden"]
+    assert len(hidden) == len(net.weights) + 1 and hidden[0] is x
+    expect = x
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        expect = expect @ w + b
+        if k < len(net.weights) - 1:
+            expect = fn(expect)
+        assert np.array_equal(hidden[k + 1], expect)
+    assert cache["out"] is out and np.array_equal(out, np.exp(np.tanh(hidden[-1])))
 
 
 # ---------------------------------------------------------------------------
