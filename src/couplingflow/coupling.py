@@ -48,6 +48,13 @@ class Mlp:
     activation: str = "relu"
     output_transform: str = "identity"
 
+    def __post_init__(self):
+        if self.activation not in ("relu", "tanh"):
+            raise ValueError(f"activation: expected 'relu' or 'tanh', got {self.activation!r}")
+        if self.output_transform not in ("identity", "exptanh"):
+            raise ValueError(f"output_transform: expected 'identity' or 'exptanh', "
+                             f"got {self.output_transform!r}")
+
     @property
     def in_dim(self):
         return self.weights[0].shape[0]
@@ -73,9 +80,7 @@ def _act_deriv(name, h):
     gives h > 0 (0 at exactly 0), tanh gives 1 - h^2."""
     if name == "relu":
         return h > 0.0
-    if name == "tanh":
-        return 1.0 - h**2
-    raise ValueError(f"unknown activation {name!r}")
+    return 1.0 - h**2
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray):
@@ -95,10 +100,8 @@ def mlp_forward(mlp: Mlp, x: np.ndarray):
             pass  # the output layer is affine; its transform comes below
         elif mlp.activation == "relu":
             np.maximum(h, 0.0, out=h)
-        elif mlp.activation == "tanh":
-            np.tanh(h, out=h)
         else:
-            raise ValueError(f"unknown activation {mlp.activation!r}")
+            np.tanh(h, out=h)
         hidden.append(h)
     out = np.exp(np.tanh(h)) if mlp.output_transform == "exptanh" else h
     return out, {"hidden": hidden, "out": out}
@@ -441,10 +444,14 @@ def _mlp_from_dict(d, net) -> Mlp:
     shapes = list(zip(widths, widths[1:]))
     if not len(weights) == len(biases) == len(shapes):
         raise ValueError(f"{net}: widths {widths} do not fit its weights and biases")
-    return Mlp(weights=[_unarr(a, f"{net}.weights[{k}]", shapes[k]) for k, a in enumerate(weights)],
-               biases=[_unarr(a, f"{net}.biases[{k}]", shapes[k][1]) for k, a in enumerate(biases)],
-               activation=_field(d, "activation", str, f"{net}."),
-               output_transform=_field(d, "output_transform", str, f"{net}."))
+    weights = [_unarr(a, f"{net}.weights[{k}]", shapes[k]) for k, a in enumerate(weights)]
+    biases = [_unarr(a, f"{net}.biases[{k}]", shapes[k][1]) for k, a in enumerate(biases)]
+    activation, output_transform = (_field(d, key, str, f"{net}.")
+                                    for key in ("activation", "output_transform"))
+    try:
+        return Mlp(weights, biases, activation, output_transform)
+    except ValueError as exc:
+        raise ValueError(f"{net}.{exc}") from exc
 
 
 def layer_from_dict(d) -> object:

@@ -499,10 +499,19 @@ def run(config: ExperimentConfig) -> dict:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (an unknown flag or subcommand, a
+    missing value, a seed that is not an integer) are ConfigErrors, so the
+    command line fails the way a config file does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="couplingflow",
-                                     description="coupling-layer decompositions, "
-                                                 "certificates, and experiments")
+    parser = _Parser(prog="couplingflow",
+                     description="coupling-layer decompositions, certificates, and experiments")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", type=str, default=".", help="output directory")
     parser.add_argument("--config", type=str, default=None,
@@ -510,22 +519,45 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand")
     for name, schema in _SCHEMAS.items():
         sp = sub.add_parser(name)
-        for pname, (typ, default, allowed) in schema.items():
-            flag = "--" + pname.replace("_", "-")
-            sp.add_argument(flag, dest=pname, type=typ, default=None,
-                            choices=allowed, required=False)
+        # values stay strings here: validate_config is their only check
+        for pname, (_, _, allowed) in schema.items():
+            sp.add_argument("--" + pname.replace("_", "-"), dest=pname,
+                            metavar="{" + ",".join(allowed) + "}" if allowed else None)
     return parser
+
+
+_CONFIG_KEYS = {"subcommand": str, "params": dict, "master_seed": int, "output_dir": str}
+
+
+def _read_config(path: str) -> dict:
+    """The JSON object in a config file, with each key it sets of the type
+    ExperimentConfig needs; anything else is a ConfigError naming the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    for key, kind in _CONFIG_KEYS.items():
+        if key in doc and (not isinstance(doc[key], kind) or isinstance(doc[key], bool)):
+            raise ConfigError(f"{path}: {key}: expected {kind.__name__}, "
+                              f"got {type(doc[key]).__name__}")
+    return doc
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except ConfigError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 1
     if args.config:
         try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            print(f"config error: {args.config}: {exc}", file=sys.stderr)
+            doc = _read_config(args.config)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return 1
         subcommand = doc.get("subcommand", args.subcommand)
         params = doc.get("params", {})

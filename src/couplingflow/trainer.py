@@ -25,7 +25,6 @@ from couplingflow.errors import DivergedRunError
 from couplingflow.metrics import relative_frobenius
 from couplingflow.rng import stream
 
-GAUSSIAN_ENTROPY_2D = 1.0 + math.log(2.0 * math.pi)  # differential entropy of N(0, I2) per point
 PLN_INIT_STD = 1e-5  # std of the PLN dense-block draws at initialization
 
 
@@ -333,9 +332,12 @@ def _regression_target(kind: str, z: np.ndarray, matrix=None) -> np.ndarray:
     raise ValueError(f"unknown regression target {kind!r}")
 
 
+REGRESSION_PAIRS = 5  # lower/upper layer pairs of the regression coupling stack
+REGRESSION_HIDDEN = 128  # hidden width of its nets and of the small MLP
+
+
 def train_coupling_regression(config: TrainConfig, d: int, target: str,
-                              architecture: str, seed: int, n_pairs: int = 5,
-                              hidden: int = 128) -> RunRecord:
+                              architecture: str, seed: int) -> RunRecord:
     """Regress either a coupling stack or one of its subnetworks (a small
     MLP of identical shape) onto an elementwise nonlinearity, under an
     identical data stream."""
@@ -344,7 +346,8 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
     batches = stream(seed, "regression-batches", d, target)
 
     if architecture == "coupling_stack":
-        layers = _coupling_stack(d, n_pairs, hidden, activation="tanh", seed=seed)
+        layers = _coupling_stack(d, REGRESSION_PAIRS, REGRESSION_HIDDEN, activation="tanh",
+                                 seed=seed)
         params = _stack_params(layers)
         seq = coupling.sequence(layers, ambient_dim=d)
 
@@ -358,8 +361,8 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
         def evaluate(z):
             return coupling.apply(seq, z)
     elif architecture == "small_mlp":
-        net = mlp_init([d, hidden, hidden, d], activation="tanh",
-                       rng=stream(seed, "mlp-init", d, hidden))
+        net = mlp_init([d, REGRESSION_HIDDEN, REGRESSION_HIDDEN, d], activation="tanh",
+                       rng=stream(seed, "mlp-init", d, REGRESSION_HIDDEN))
         params = net.weights + net.biases
 
         def forward(z):

@@ -431,8 +431,11 @@ def _tamper(layer, path, value):
     (("s_net", "weights", 0), lambda s: base64.b64encode(b"\0" * 40).decode(), r"s_net\.weights\[0\]"),
     (("t_net", "biases"), lambda s: s[:-1], "t_net"),
     (("s_net", "weights"), lambda s: s + s[-1:], "s_net"),
+    (("t_net", "output_transform"), lambda s: "bogus", r"^t_net\.output_transform"),
+    (("s_net", "activation"), lambda s: "sigmoid", r"^s_net\.activation"),
 ], ids=["number-list", "not-base64", "not-whole-floats", "not-dim-half-squared",
-        "bias-not-widths", "weight-not-widths", "bias-count", "weight-count"])
+        "bias-not-widths", "weight-not-widths", "bias-count", "weight-count",
+        "unknown-output-transform", "unknown-activation"])
 def test_layer_from_dict_rejects_malformed_array(path, value, field):
     layers = {"dense": cp.identity_layer(2), "diag": cp.identity_layer(2),
               "scale": cp.ActNormLayer(scale=np.ones(4)),
@@ -472,6 +475,11 @@ def test_layer_invariants_enforced():
         cp.ActNormLayer(scale=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         cp.LinearCouplingLayer(side="diagonal", dense=np.zeros((2, 2)), diag=np.ones(2))
+    # a one-layer net has no hidden activation to run, yet its name is checked
+    with pytest.raises(ValueError, match="activation"):
+        cp.Mlp(weights=[np.zeros((2, 2))], biases=[np.zeros(2)], activation="sigmoid")
+    with pytest.raises(ValueError, match="output_transform"):
+        cp.Mlp(weights=[np.zeros((2, 2))], biases=[np.zeros(2)], output_transform="softplus")
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,14 +1,15 @@
-"""Guard against dead code: every top-level function and class in
-``src/couplingflow``, and every method that is not a dunder, is referred to
-somewhere in the program (``src/`` or ``perfbench/``). Tests do not count,
-so a helper that only tests call fails here and belongs in ``tests/``.
+"""Guard against dead code: every top-level function, class and UPPER_CASE
+constant in ``src/couplingflow``, and every method that is not a dunder, is
+referred to somewhere in the program (``src/`` or ``perfbench/``). Tests do
+not count, so a helper that only tests call fails here and belongs in
+``tests/``.
 
-A reference is a name, an attribute, an imported name, or a word or dotted
-word inside a plain string that is not a docstring, such as the entries of
-perfbench's ``TRACED`` table ("AdamState.update"). The text of an f-string
-does not count (the names in its replacement fields do): it is how messages
-are written, and a function whose only mention is its own error message is
-still dead."""
+A reference is a name that is read (not assigned to), an attribute, an
+imported name, or a word or dotted word inside a plain string that is not a
+docstring, such as the entries of perfbench's ``TRACED`` table
+("AdamState.update"). The text of an f-string does not count (the names in
+its replacement fields do): it is how messages are written, and a function
+whose only mention is its own error message is still dead."""
 
 import ast
 import re
@@ -18,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "couplingflow"
 PROGRAM = (ROOT / "src", ROOT / "perfbench")
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 # kept without a caller in the program, each for the reason given
 ALLOWED = {
@@ -38,11 +40,15 @@ def _is_dunder(name):
 
 
 def definitions(tree):
-    """Names of the top-level functions and classes and of the non-dunder
-    methods defined in a module."""
+    """Names of the top-level functions, classes and UPPER_CASE constants
+    and of the non-dunder methods defined in a module."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets
+                        if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
@@ -67,7 +73,7 @@ def _fstring_text(tree):
 def references(tree):
     skipped = set(map(id, _docstrings(tree))) | set(map(id, _fstring_text(tree)))
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -98,8 +104,9 @@ def test_every_definition_is_used_by_the_program():
 def test_scan_sees_each_kind_of_reference():
     tree = ast.parse("'docstring'\nimport a.b\nfrom c import d\ne.f\ng\n"
                      "T = {'h': ['i.j'], 'k': f'{n.o:{p}>4} l-m'}\n")
-    assert set(references(tree)) == {"a", "b", "d", "e", "f", "g", "T", "h", "i", "j",
+    assert set(references(tree)) == {"a", "b", "d", "e", "f", "g", "h", "i", "j",
                                      "k", "n", "o", "p"}
     module = ast.parse("def f():\n    pass\nclass C:\n    def __init__(self):\n        pass\n"
-                       "    def m(self):\n        pass\n")
-    assert set(definitions(module)) == {"f", "C", "m"}
+                       "    def m(self):\n        pass\n"
+                       "K = 1\n_K2: int = 2\nlower = 3\n__all__ = []\nA, B = 4, 5\n")
+    assert set(definitions(module)) == {"f", "C", "m", "K", "_K2"}

@@ -168,6 +168,51 @@ def test_config_file_unreadable_is_a_config_error(tmp_path, capsys, content):
     assert err.startswith(f"config error: {cfg_path}: ")
 
 
+@pytest.mark.parametrize("doc, key", [
+    ([1, 2], "expected a JSON object"),
+    ("str", "expected a JSON object"),
+    ({"subcommand": ["x"]}, "subcommand"),
+    ({"subcommand": "separation", "params": {"samples": 8}, "output_dir": 5}, "output_dir"),
+    ({"subcommand": "separation", "params": [["samples", 8]]}, "params"),
+    ({"subcommand": "separation", "params": {"samples": 8}, "master_seed": "3"}, "master_seed"),
+], ids=["top-level-list", "top-level-string", "list-subcommand", "number-output-dir",
+        "list-params", "string-seed"])
+def test_config_file_malformed_is_a_config_error(tmp_path, monkeypatch, capsys, doc, key):
+    # exits 1 naming the file and the key, before anything runs or is written
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert harness.main(["--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {cfg_path}: {key}")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("args", [
+    ["universal", "--mode", "foo"],
+    ["separation", "--d", "abc"],
+    ["train-mle", "--padding", "maybe"],
+    ["separation", "--bogus", "1"],
+    ["nope"],
+    ["universal", "--mode"],
+    ["--seed", "x", "separation"],
+], ids=["bad-choice", "bad-int", "bad-choice-mle", "unknown-flag", "unknown-subcommand",
+        "missing-value", "bad-seed"])
+def test_cli_flag_errors_are_validation_errors(tmp_path, capsys, args):
+    # a bad flag exits 1 like the same value in a config file; 2 is kept for
+    # numeric failures
+    outdir = tmp_path / "out"
+    assert harness.main(["--out", str(outdir)] + args) == 1
+    assert "validation error: " in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        harness.main(["universal", "-h"])
+    assert exc.value.code == 0
+    assert "--mode {padded,lattice}" in capsys.readouterr().out
+
+
 def test_plot_data_roundtrip(tmp_path):
     from couplingflow import trainer
     rec = trainer.RunRecord(seed=1)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,8 @@ from couplingflow import matcore as mc
 from couplingflow import trainer as tr
 from couplingflow.errors import DivergedRunError
 from couplingflow.rng import stream
+
+GAUSSIAN_ENTROPY_2D = 1.0 + math.log(2.0 * math.pi)  # differential entropy of N(0, I2) per point
 
 
 def fd_grad(fn, params_flat, step=1e-6):
@@ -336,7 +339,7 @@ def test_nvp_mle_gaussian_sanity_short():
     config = tr.TrainConfig(lr=1e-3, steps=400, batch_size=128, log_interval=200)
     record = tr.train_nvp_mle("gaussian", "none", config, seed=21, n_pairs=2, hidden=32)
     # near-identity init starts close to the true entropy and stays finite
-    assert abs(record.final["nll"] - tr.GAUSSIAN_ENTROPY_2D) <= 0.5
+    assert abs(record.final["nll"] - GAUSSIAN_ENTROPY_2D) <= 0.5
 
 
 def test_nvp_mle_records_condition_numbers():

@@ -25,12 +25,11 @@ def test_truncate():
 
 
 def test_grid_rounder_basics():
-    g = uv.GridRounder(eps=0.5)
     x = np.array([[0.6, -0.2], [1.24, 0.76]])
-    f = g.round(x)
+    f = uv.grid_round(x, 0.5)
     assert np.allclose(f % 0.5, 0.0)
     assert np.max(np.abs(x - f)) <= 0.25 + 1e-15
-    assert np.allclose(g.residual(x), x - f)
+    assert np.allclose(uv.grid_residual(x, 0.5), x - f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -40,12 +39,11 @@ def test_grid_rounder_recovery_property(seed):
     rng = np.random.default_rng(seed)
     eps = 0.5
     eps1 = eps * eps / 4.0
-    g = uv.GridRounder(eps=eps)
     x = 4.0 * rng.standard_normal(3)
     y = rng.uniform(-1, 1, size=3) * (0.49 * eps / eps1)
-    z = g.round(x) + eps1 * y
-    assert np.array_equal(g.round(z), g.round(x))
-    assert np.max(np.abs(g.residual(z) - eps1 * y)) <= 1e-12
+    z = uv.grid_round(x, eps) + eps1 * y
+    assert np.array_equal(uv.grid_round(z, eps), uv.grid_round(x, eps))
+    assert np.max(np.abs(uv.grid_residual(z, eps) - eps1 * y)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +161,10 @@ def test_lattice_layer1_stores_rounded_block():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((100, 2))
     x1, x2 = x[:, :1], x[:, 1:]
-    stored = net.eps1 * x2 + net.rounder.round(uv.truncate(x1, net.truncation))
+    stored = net.eps1 * x2 + uv.grid_round(uv.truncate(x1, net.truncation), eps)
     # the stored value encodes both the grid point and the Gaussian residual
-    assert np.array_equal(net.rounder.round(stored), net.rounder.round(x1.clip(-6, 6)))
-    assert np.max(np.abs(net.rounder.residual(stored) - net.eps1 * x2)) <= 1e-12
+    assert np.array_equal(uv.grid_round(stored, eps), uv.grid_round(x1.clip(-6, 6), eps))
+    assert np.max(np.abs(uv.grid_residual(stored, eps) - net.eps1 * x2)) <= 1e-12
 
 
 def test_lattice_identity_marginal():
@@ -201,6 +199,56 @@ def test_lattice_coarse_schedule_error_budget():
     ref = uv.reference_pushforward(net, inputs)
     w2 = metrics.empirical_wasserstein(pushed, ref, metrics.W2).cost
     assert w2 <= 0.3
+
+
+def _lattice_reference(net, x):
+    # the lattice net's three layers written out as formulas
+    n, eps, eps1, eps2 = net.block_dim, net.eps, net.eps1, net.eps2
+
+    def rnd(v):
+        return eps * np.round(v / eps)
+
+    x1, x2 = x[:, :n], x[:, n:]
+    x2 = eps1 * x2 + rnd(uv.truncate(x1, net.truncation))
+    full = net.transport.forward(np.concatenate([rnd(x2), (x2 - rnd(x2)) / eps1], axis=1))
+    x1 = eps2 * x1 + (rnd(full[:, :n]) + eps1 * full[:, n:])
+    x2 = eps2 * x2 + (x1 - rnd(x1)) / eps1
+    return np.concatenate([x1, x2], axis=1)
+
+
+def _padded_reference(net, x):
+    # the padded net's three layers written out as formulas
+    n, phi = net.data_dim, net.transport
+    x1, x2 = x[:, :n].copy(), x[:, n:].copy()
+    x2 = x2 + phi.forward(uv.truncate(x1, net.truncation))
+    x1 = x1 + (x2 - phi.inverse(x2))
+    x2 = x2 + -x1
+    return np.concatenate([x1, x2], axis=1)
+
+
+@pytest.mark.parametrize("target", ["affine", "quantile"])
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.125, 0.0625])
+def test_nets_match_their_written_out_layers_bitwise(target, eps):
+    # the declared steps compute exactly the three-line formulas, on inputs
+    # that reach well outside the truncation box m = 2
+    rng = np.random.default_rng(int(eps * 64) + (target == "quantile"))
+
+    def transport(dim):
+        if target == "affine":
+            linear = np.eye(dim) + 0.3 * np.triu(rng.standard_normal((dim, dim)), 1)
+            return uv.AffineTransport(shift=rng.standard_normal(dim), linear=linear)
+        vals = np.linspace(-4.0, 4.0, 200)
+        return uv.quantile_transport([(vals + 0.1 * k, ndtr(vals) * 0.9 + 0.05)
+                                      for k in range(dim)])
+
+    eps1 = eps * eps / 4.0
+    lattice = uv.build_lattice_net(transport(4), eps, eps1, eps1 * eps1 / 4.0, m=2.0)
+    x = 3.0 * rng.standard_normal((500, 4))
+    assert np.max(np.abs(x)) > 2.0
+    assert lattice.apply(x).tobytes() == _lattice_reference(lattice, x).tobytes()
+    padded = uv.build_padded_net(transport(2), m=2.0)
+    for inputs in (x, np.hstack([x[:, :2], np.zeros((500, 2))])):
+        assert padded.apply(inputs).tobytes() == _padded_reference(padded, inputs).tobytes()
 
 
 def test_lattice_log_det_constant():
