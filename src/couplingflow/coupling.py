@@ -176,21 +176,6 @@ class LinearCouplingLayer:
 
 
 @dataclass(frozen=True)
-class ActNormLayer:
-    """Diagonal scaling of all 2d coordinates; entries nonzero, sign free."""
-
-    scale: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.scale == 0.0) or not np.all(np.isfinite(self.scale)):
-            raise ValueError("actnorm scale entries must be nonzero and finite")
-
-    @property
-    def ambient_dim(self):
-        return self.scale.shape[0]
-
-
-@dataclass(frozen=True)
 class NonlinearCouplingLayer:
     """Affine coupling block with networks s (positive scale) and t."""
 
@@ -218,7 +203,7 @@ class LayerSequence:
 
     def __post_init__(self):
         for layer in self.layers:
-            if not isinstance(layer, (LinearCouplingLayer, ActNormLayer, NonlinearCouplingLayer)):
+            if not isinstance(layer, (LinearCouplingLayer, NonlinearCouplingLayer)):
                 raise TypeError(f"unknown layer type {type(layer)!r}")
             if layer.ambient_dim != self.ambient_dim:
                 raise ValueError("layers disagree on ambient dimension")
@@ -272,16 +257,12 @@ def _scale_shift(layer, kept):
 
 def apply_layer(layer, x: np.ndarray) -> np.ndarray:
     """Apply one layer to x; x may be a vector (2d,) or a batch (n, 2d)."""
-    if isinstance(layer, ActNormLayer):
-        return x * layer.scale
     kept, passive = _halves(layer.side, x)
     s, t = _scale_shift(layer, kept)
     return _join(layer.side, kept, passive * s + t)
 
 
 def invert_layer(layer, y: np.ndarray) -> np.ndarray:
-    if isinstance(layer, ActNormLayer):
-        return y / layer.scale
     kept, updated = _halves(layer.side, y)
     s, t = _scale_shift(layer, kept)
     return _join(layer.side, kept, (updated - t) / s)
@@ -305,17 +286,6 @@ def invert(seq: LayerSequence, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _left_multiply(layer, m: np.ndarray) -> None:
-    """Overwrite m with (matrix of layer) @ m, touching only the rows the
-    layer changes; m may be one matrix or a stack (n, 2d, k)."""
-    if isinstance(layer, ActNormLayer):
-        m *= layer.scale[:, None]
-        return
-    if isinstance(layer, NonlinearCouplingLayer):
-        raise NonlinearLayerPresentError("nonlinear layer has no fixed matrix")
-    _couple_rows(layer.side, layer.dense, layer.diag, m)
-
-
 def _couple_rows(side, dense, diag, m: np.ndarray) -> None:
     """Overwrite the updated half of the rows of m with
     diag * (those rows) + dense @ (the kept rows). dense and diag are one
@@ -327,13 +297,15 @@ def _couple_rows(side, dense, diag, m: np.ndarray) -> None:
 
 
 def as_matrix(seq: LayerSequence) -> np.ndarray:
-    """Matrix realization of a sequence of linear and actnorm layers: the
-    product of the per-layer matrices in reverse order, so it acts on
-    column vectors exactly like apply().
+    """Matrix realization of a sequence of linear layers: the product of
+    the per-layer matrices in reverse order, so it acts on column vectors
+    exactly like apply(). Each layer overwrites only the rows it changes.
     """
     m = np.eye(seq.ambient_dim)
     for layer in seq.layers:
-        _left_multiply(layer, m)
+        if isinstance(layer, NonlinearCouplingLayer):
+            raise NonlinearLayerPresentError("nonlinear layer has no fixed matrix")
+        _couple_rows(layer.side, layer.dense, layer.diag, m)
     return m
 
 
@@ -341,9 +313,10 @@ def jacobian(seq: LayerSequence, x: np.ndarray) -> np.ndarray:
     """Chain-rule Jacobian of the sequence at a point x (2d,), giving
     (2d, 2d), or at each row of a batch x (n, 2d), giving (n, 2d, 2d).
 
-    The layers are walked once for the whole batch: linear and actnorm
-    layers multiply in their matrix, and each nonlinear layer builds its
-    per-row blocks from one batched pass of its s and t nets."""
+    The layers are walked once for the whole batch. Each updates the rows
+    of its passive half as its coupling step does: a linear layer with its
+    fixed blocks, a nonlinear one with per-row blocks from one batched pass
+    of its s and t nets."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != seq.ambient_dim:
         raise ValueError(f"input dim {x.shape[-1]} != ambient {seq.ambient_dim}")
@@ -352,16 +325,16 @@ def jacobian(seq: LayerSequence, x: np.ndarray) -> np.ndarray:
         x = x[None, :]
     jac = np.tile(np.eye(seq.ambient_dim), (x.shape[0], 1, 1))
     for layer in seq.layers:
-        if not isinstance(layer, NonlinearCouplingLayer):
-            _left_multiply(layer, jac)
-            x = apply_layer(layer, x)
-            continue
         kept, passive = _halves(layer.side, x)
-        s, s_cache = mlp_forward(layer.s_net, kept)
-        t, t_cache = mlp_forward(layer.t_net, kept)
-        # d(passive * s + t)/d(kept) = diag(passive) J_s + J_t, per row
-        dense = passive[:, :, None] * _mlp_jacobians(layer.s_net, s_cache) \
-            + _mlp_jacobians(layer.t_net, t_cache)
+        if isinstance(layer, LinearCouplingLayer):
+            s, t = _scale_shift(layer, kept)
+            dense = layer.dense
+        else:
+            s, s_cache = mlp_forward(layer.s_net, kept)
+            t, t_cache = mlp_forward(layer.t_net, kept)
+            # d(passive * s + t)/d(kept) = diag(passive) J_s + J_t, per row
+            dense = passive[:, :, None] * _mlp_jacobians(layer.s_net, s_cache) \
+                + _mlp_jacobians(layer.t_net, t_cache)
         _couple_rows(layer.side, dense, s, jac)
         x = _join(layer.side, kept, passive * s + t)
     return jac[0] if single else jac
@@ -373,17 +346,13 @@ def apply_with_log_det(seq: LayerSequence, x: np.ndarray):
     each input row, shape x.shape[:-1] (a 0-d array for a point).
 
     The layers are walked once. Each adds sum(log s) of its coupling step,
-    or sum(log |scale|) for actnorm, and no net keeps a backward cache, so
-    this is the evaluation-only forward of a trained flow."""
+    and no net keeps a backward cache, so this is the evaluation-only
+    forward of a trained flow."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != seq.ambient_dim:
         raise ValueError(f"input dim {x.shape[-1]} != ambient {seq.ambient_dim}")
     log_det = np.zeros(x.shape[:-1])
     for layer in seq.layers:
-        if isinstance(layer, ActNormLayer):
-            log_det += np.sum(np.log(np.abs(layer.scale)))
-            x = apply_layer(layer, x)
-            continue
         kept, passive = _halves(layer.side, x)
         s, t = _scale_shift(layer, kept)
         log_det += np.sum(np.log(s), axis=-1)
@@ -424,8 +393,6 @@ def layer_to_dict(layer) -> dict:
     if isinstance(layer, LinearCouplingLayer):
         return {"kind": "linear", "side": layer.side, "dim_half": layer.dense.shape[0],
                 "dense": _arr(layer.dense), "diag": _arr(layer.diag)}
-    if isinstance(layer, ActNormLayer):
-        return {"kind": "actnorm", "scale": _arr(layer.scale)}
     if isinstance(layer, NonlinearCouplingLayer):
         return {"kind": "nonlinear", "side": layer.side,
                 "s_net": _mlp_to_dict(layer.s_net), "t_net": _mlp_to_dict(layer.t_net)}
@@ -461,8 +428,6 @@ def layer_from_dict(d) -> object:
         return LinearCouplingLayer(side=_field(d, "side", str),
                                    dense=_unarr(_field(d, "dense"), "dense", (dh, dh)),
                                    diag=_unarr(_field(d, "diag"), "diag", (dh,)))
-    if kind == "actnorm":
-        return ActNormLayer(scale=_unarr(_field(d, "scale"), "scale"))
     if kind == "nonlinear":
         return NonlinearCouplingLayer(side=_field(d, "side", str),
                                       s_net=_mlp_from_dict(_field(d, "s_net"), "s_net"),

@@ -128,10 +128,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     cleaned = {}
     for name, (typ, default, allowed) in schema.items():
         if name in config.params and config.params[name] is not None:
-            try:
-                val = typ(config.params[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"parameter {name}: {exc}") from exc
+            val = _coerce(name, typ, config.params[name])
         elif default is None:
             raise ConfigError(f"missing required parameter {name!r}")
         else:
@@ -144,6 +141,19 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     _check_values(config.subcommand, cleaned)
     return ExperimentConfig(subcommand=config.subcommand, params=cleaned,
                             master_seed=config.master_seed, output_dir=config.output_dir)
+
+
+def _coerce(name: str, typ, value):
+    """``value`` as ``typ``. A flag arrives as a string and a config file
+    value as its JSON type; a bool, or a float with a fractional part for
+    an integer, is refused rather than converted."""
+    if (typ in (int, float) and isinstance(value, bool)) or \
+            (typ is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"parameter {name}: expected {typ.__name__}, got {value!r}")
+    try:
+        return typ(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"parameter {name}: {exc}") from exc
 
 
 def _check_values(subcommand: str, params: dict) -> None:
@@ -530,8 +540,9 @@ _CONFIG_KEYS = {"subcommand": str, "params": dict, "master_seed": int, "output_d
 
 
 def _read_config(path: str) -> dict:
-    """The JSON object in a config file, with each key it sets of the type
-    ExperimentConfig needs; anything else is a ConfigError naming the file."""
+    """The JSON object in a config file, setting only ExperimentConfig's
+    fields, each of the type it needs; anything else is a ConfigError
+    naming the file and the key."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -539,6 +550,10 @@ def _read_config(path: str) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    unknown = [key for key in doc if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"{path}: {unknown[0]}: unknown key; a config file sets "
+                          f"{', '.join(_CONFIG_KEYS)}")
     for key, kind in _CONFIG_KEYS.items():
         if key in doc and (not isinstance(doc[key], kind) or isinstance(doc[key], bool)):
             raise ConfigError(f"{path}: {key}: expected {kind.__name__}, "
@@ -553,27 +568,21 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    if args.config:
-        try:
-            doc = _read_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        subcommand = doc.get("subcommand", args.subcommand)
-        params = doc.get("params", {})
-        seed = doc.get("master_seed", args.seed)
-        outdir = doc.get("output_dir", args.out)
-    else:
-        subcommand = args.subcommand
-        params = {k: v for k, v in vars(args).items()
-                  if k not in ("seed", "out", "config", "subcommand") and v is not None}
-        seed = args.seed
-        outdir = args.out
-    if subcommand is None:
+    try:
+        doc = _read_config(args.config) if args.config else {}
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    # a config file overrides the flags key by key, its params included
+    flag_params = {k: v for k, v in vars(args).items()
+                   if k not in ("seed", "out", "config", "subcommand") and v is not None}
+    config = ExperimentConfig(subcommand=doc.get("subcommand", args.subcommand),
+                              params={**flag_params, **doc.get("params", {})},
+                              master_seed=doc.get("master_seed", args.seed),
+                              output_dir=doc.get("output_dir", args.out))
+    if config.subcommand is None:
         parser.print_usage(sys.stderr)
         return 1
-    config = ExperimentConfig(subcommand=subcommand, params=params,
-                              master_seed=seed, output_dir=outdir)
     try:
         run(config)
     except ConfigError as exc:

@@ -18,8 +18,6 @@ from scipy.linalg import blas, lapack
 from couplingflow.errors import EigFailedError, EigGapTooSmallError, SingularMatrixError
 
 SINGULAR_RTOL = 1e-12  # pivot threshold relative to max |entry|
-EIG_MAX_DIM = 256
-SVD_MAX_DIM = 64
 
 
 def as_matrix_array(a) -> np.ndarray:
@@ -194,11 +192,8 @@ def eig(a) -> np.ndarray:
     negated imaginary parts, bit for bit.
     """
     a = as_matrix_array(a)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("eig requires a square matrix")
-    if n > EIG_MAX_DIM:
-        raise ValueError(f"eig supports n <= {EIG_MAX_DIM}")
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -250,16 +245,14 @@ def triangular_eigvecs(a, min_gap: float = 1e-8, upper: bool = False) -> np.ndar
 
 
 def svd_small(a) -> np.ndarray:
-    """Singular values of a small matrix, or of each member of a stack
+    """Singular values of a matrix, or of each member of a stack
     (..., m, n), descending along the last axis, from LAPACK (gesdd) in one
-    call. SVD_MAX_DIM bounds the matrix dimensions, not the stack size."""
+    call."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if max(a.shape[-2:]) > SVD_MAX_DIM:
-        raise ValueError(f"svd_small supports n <= {SVD_MAX_DIM}")
     return np.linalg.svd(a, compute_uv=False)
 
 

@@ -184,13 +184,15 @@ class PlnModel:
         return dout
 
     def as_matrix(self) -> np.ndarray:
-        """Multiply the layers out into the recovered d x d matrix."""
+        """Multiply the layers out into the recovered d x d matrix, a product
+        of 2n couplings: each actnorm E = diag(e1, e2) folds into its layer's
+        pair as E U(D, c) L(A, b) = U(e1 D / e2, e1 c) L(e2 A, e2 b)."""
         h = self.h
         layers = []
         for (a, dm), diag in zip(self.dense, np.exp(self.logs)):
-            layers += [coupling.LinearCouplingLayer(coupling.LOWER, a, diag[:h]),
-                       coupling.LinearCouplingLayer(coupling.UPPER, dm, diag[h:2 * h]),
-                       coupling.ActNormLayer(diag[2 * h:])]
+            b, c, e1, e2 = diag[:h], diag[h:2 * h], diag[2 * h:3 * h], diag[3 * h:]
+            layers += [coupling.LinearCouplingLayer(coupling.LOWER, e2[:, None] * a, e2 * b),
+                       coupling.LinearCouplingLayer(coupling.UPPER, e1[:, None] * dm / e2, e1 * c)]
         return coupling.as_matrix(coupling.sequence(layers, ambient_dim=self.d))
 
     def log_det(self) -> float:

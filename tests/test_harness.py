@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from couplingflow import coupling, decomposer, harness, matcore
+from couplingflow import separation as sep
 from couplingflow.harness import ConfigError, ExperimentConfig
 
 
@@ -19,6 +20,26 @@ def test_validate_unknown_and_missing_params():
                                                  params={"bogus": 1}))
     with pytest.raises(ConfigError):
         harness.validate_config(ExperimentConfig(subcommand="decompose", params={}))
+
+
+@pytest.mark.parametrize("params, name", [
+    ({"d": 4.7, "samples": 64.9}, "d"),
+    ({"samples": 64.5}, "samples"),
+    ({"d": True}, "d"),
+    ({"gamma": False}, "gamma"),
+    ({"k": float("inf")}, "k"),
+], ids=["fractional-d", "fractional-samples", "bool-int", "bool-float", "inf-int"])
+def test_validate_refuses_fractional_and_bool_numbers(params, name):
+    # a config file's JSON numbers are checked, not truncated to an int
+    with pytest.raises(ConfigError, match=f"^parameter {name}: "):
+        harness.validate_config(ExperimentConfig(subcommand="separation", params=params))
+
+
+def test_validate_accepts_integral_floats():
+    cleaned = harness.validate_config(ExperimentConfig(
+        subcommand="separation", params={"d": 4.0, "samples": "64", "gamma": 2})).params
+    assert (cleaned["d"], cleaned["samples"], cleaned["gamma"]) == (4, 64, 2.0)
+    assert type(cleaned["d"]) is int and type(cleaned["gamma"]) is float
 
 
 def test_validate_choice_params():
@@ -93,6 +114,19 @@ def test_certify_cli(tmp_path):
     assert abs(doc["max_imag"] - 1.0) <= 1e-8
 
 
+def test_certify_cli_large_d(tmp_path):
+    # the Schur complement spectrum at d = 257 is one 257 x 257 eig
+    from couplingflow import certificates
+    d = 257
+    t = certificates.hard_instance(d, np.linspace(1.0, 2.0, d))
+    mat_path = tmp_path / "hard257.mat"
+    matcore.write_mat1(mat_path, t)
+    outdir = tmp_path / "out"
+    assert harness.main(["--out", str(outdir), "certify", "--input", str(mat_path),
+                         "--d", str(d)]) == 0
+    assert json.loads((outdir / "certificate.json").read_text())["verdict"] == "not_in_a4"
+
+
 def _refuse_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
@@ -158,6 +192,22 @@ def test_config_file_overrides_flags(tmp_path):
     assert report["witness"] is not None
 
 
+def test_config_file_merges_with_flags_key_by_key(tmp_path):
+    # flags the file does not set still hold; what the file sets wins
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"subcommand": "separation"}))
+    flags = ["separation", "--d", "4", "--k", "2", "--samples", "64"]
+    assert harness.main(["--out", str(tmp_path / "a"), "--config", str(cfg_path)] + flags) == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["delta"] == sep.selector_delta(0.5, 1.0, 4, 2)
+    cfg_path.write_text(json.dumps({"subcommand": "separation", "params": {"k": 3},
+                                    "output_dir": str(tmp_path / "file")}))
+    assert harness.main(["--out", str(tmp_path / "b"), "--config", str(cfg_path)] + flags) == 0
+    report = json.loads((tmp_path / "file" / "report.json").read_text())
+    assert report["delta"] == sep.selector_delta(0.5, 1.0, 4, 3)
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json"])
 def test_config_file_unreadable_is_a_config_error(tmp_path, capsys, content):
     # a file that is not UTF-8, or not JSON, exits 1 naming the file
@@ -175,8 +225,9 @@ def test_config_file_unreadable_is_a_config_error(tmp_path, capsys, content):
     ({"subcommand": "separation", "params": {"samples": 8}, "output_dir": 5}, "output_dir"),
     ({"subcommand": "separation", "params": [["samples", 8]]}, "params"),
     ({"subcommand": "separation", "params": {"samples": 8}, "master_seed": "3"}, "master_seed"),
+    ({"subcommand": "separation", "params": {"samples": 8}, "seed": 5, "outdir": "x"}, "seed"),
 ], ids=["top-level-list", "top-level-string", "list-subcommand", "number-output-dir",
-        "list-params", "string-seed"])
+        "list-params", "string-seed", "unknown-keys"])
 def test_config_file_malformed_is_a_config_error(tmp_path, monkeypatch, capsys, doc, key):
     # exits 1 naming the file and the key, before anything runs or is written
     monkeypatch.chdir(tmp_path)

@@ -173,9 +173,11 @@ def test_eig_trace_consistency_and_conjugate_pairs():
         assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
 
 
-def test_eig_size_guard():
-    with pytest.raises(ValueError):
-        mc.eig(np.eye(300))
+def test_eig_and_svd_have_no_size_cap():
+    # LAPACK's geev and gesdd take any size
+    assert np.array_equal(mc.eig(np.eye(300)), np.ones(300, dtype=complex))
+    sv = mc.svd_small(np.diag(np.arange(1.0, 301.0)))
+    assert np.allclose(sv, np.arange(300.0, 0.0, -1.0), rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,7 @@ def test_svd_descending_nonnegative():
 
 def test_svd_stack_matches_per_matrix():
     rng = np.random.default_rng(16)
-    stack = rng.standard_normal((100, 4, 4))  # more members than SVD_MAX_DIM
+    stack = rng.standard_normal((100, 4, 4))
     sv = mc.svd_small(stack)
     cond = mc.condition_number(stack)
     assert sv.shape == (100, 4) and cond.shape == (100,)
@@ -284,8 +286,6 @@ def test_svd_stack_matches_per_matrix():
         assert np.array_equal(sv[k], mc.svd_small(a))
         assert cond[k] == mc.condition_number(a)
     assert isinstance(mc.condition_number(stack[0]), float)
-    with pytest.raises(ValueError):
-        mc.svd_small(np.zeros((2, mc.SVD_MAX_DIM + 1, 3)))
 
 
 def test_condition_number_stack_zero_member_is_inf():

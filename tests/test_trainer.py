@@ -113,6 +113,28 @@ def test_pln_as_matrix_positive_det():
     assert np.max(np.abs(model.forward(z)[0] - z @ model.as_matrix().T)) <= 1e-12
 
 
+@pytest.mark.parametrize("d, depth, seed", [(4, 1, 0), (6, 2, 1), (10, 3, 2), (16, 4, 3)])
+def test_pln_as_matrix_folds_actnorm_exactly(d, depth, seed):
+    # random blocks and diagonals, e = exp(logs) from about 0.3 to 3, so the
+    # scaling that folds each actnorm into its coupling pair is exercised
+    rng = np.random.default_rng(seed)
+    model = tr.PlnModel(d, depth, 0.0, seed=seed)
+    model.dense[:] = rng.standard_normal(model.dense.shape)
+    model.logs[:] = rng.uniform(np.log(0.3), np.log(3.0), model.logs.shape)
+    h = d // 2
+    zero, eye = np.zeros((h, h)), np.eye(h)
+    unfolded = np.eye(d)
+    for (a, dm), diag in zip(model.dense, np.exp(model.logs)):
+        lower = np.block([[eye, zero], [a, np.diag(diag[:h])]])
+        upper = np.block([[np.diag(diag[h:2 * h]), dm], [zero, eye]])
+        unfolded = np.diag(diag[2 * h:]) @ upper @ lower @ unfolded
+    m = model.as_matrix()
+    assert np.max(np.abs(m - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
+    z = rng.standard_normal((32, d))
+    ref = z @ m.T
+    assert np.max(np.abs(model.forward(z)[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_pln_rejects_empty_batch():
     model = tr.PlnModel(4, 1, 0.0, seed=0)
     with pytest.raises(ValueError):
@@ -383,10 +405,10 @@ def test_nvp_mle_records_spike_above_start():
 
 
 def test_nvp_mle_log_every_step_with_large_probe():
-    # the probe batch may hold more rows than SVD_MAX_DIM
+    # the probe is one stacked SVD over all its rows, however many
     config = tr.TrainConfig(lr=1e-3, steps=2, batch_size=32, log_interval=1)
     record = tr.train_nvp_mle("four_gaussians", "gaussian", config, seed=29,
-                              n_pairs=1, hidden=16, probe_size=2 * mc.SVD_MAX_DIM)
+                              n_pairs=1, hidden=16, probe_size=128)
     assert all(np.isfinite(v) for v in record.metrics["cond_log10_max"])
     # logs at steps 0, 1 and 2; the final one runs no step and repeats step 1's batch
     batch_max = record.metrics["nll_batch_max"]
