@@ -177,6 +177,10 @@ def _check_values(subcommand: str, params: dict) -> None:
         raise ConfigError(f"parameter eps must be at most 1 in lattice mode, got {params['eps']}")
     if subcommand == "separation" and params["k"] < 2:
         raise ConfigError(f"parameter k must be at least 2, got {params['k']}")
+    if subcommand in ("universal", "separation") and params["samples"] > metrics.MAX_CLOUD:
+        # the exact assignment that scores the push is capped; refuse before pushing
+        raise ConfigError(f"parameter samples must be at most {metrics.MAX_CLOUD}, "
+                          f"got {params['samples']}")
 
 
 def _layer_counts(spec: str) -> list:

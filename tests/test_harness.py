@@ -356,6 +356,8 @@ def test_train_pln_cli_smoke(tmp_path):
     ["decompose", "--input", "wide.mat"],
     ["certify", "--input", "hard.mat", "--d", "3"],
     ["decompose", "--input", "garbled.mat"],
+    ["universal", "--mode", "padded", "--samples", "5000"],
+    ["separation", "--samples", "5000"],
 ])
 def test_cli_rejects_bad_values_before_running(tmp_path, capsys, args):
     from couplingflow import certificates

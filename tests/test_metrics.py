@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from couplingflow import metrics
 
@@ -31,14 +34,84 @@ def test_two_points_distance():
     assert metrics.empirical_wasserstein(a, b, metrics.W2).cost == 5.0
 
 
+def unreduced_scipy_w(a, b, squared):
+    """One dense solve on the full, unreduced cost matrix (the reference)."""
+    dist = cdist(a, b, "sqeuclidean" if squared else "euclidean")
+    rows, cols = linear_sum_assignment(dist)
+    mean = np.mean(dist[rows, cols])
+    return np.sqrt(mean) if squared else mean
+
+
 def test_matches_brute_force_n6():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((6, 2))
     b = rng.standard_normal((6, 2))
-    w1 = metrics.empirical_wasserstein(a, b, metrics.W1)
-    w2 = metrics.empirical_wasserstein(a, b, metrics.W2)
-    assert abs(w1.cost - brute_force_w(a, b, squared=False)) <= 1e-12
-    assert abs(w2.cost - brute_force_w(a, b, squared=True)) <= 1e-12
+    # no shared rows, then rows 0 and 3, then rows 1, 2, 4 and 5 shared
+    for shared in ([], [0, 3], [1, 2, 4, 5]):
+        b_shared = b.copy()
+        b_shared[shared] = a[shared]
+        w1 = metrics.empirical_wasserstein(a, b_shared, metrics.W1)
+        w2 = metrics.empirical_wasserstein(a, b_shared, metrics.W2)
+        assert abs(w1.cost - brute_force_w(a, b_shared, squared=False)) <= 1e-12
+        assert abs(w2.cost - brute_force_w(a, b_shared, squared=True)) <= 1e-12
+
+
+def test_w2_does_not_pair_shared_rows():
+    # pairing the shared row 1 <-> 1 would give sqrt(2); squared distance
+    # is not a metric, so the optimum crosses over
+    a = np.array([[0.0], [1.0]])
+    b = np.array([[2.0], [1.0]])
+    assert metrics.empirical_wasserstein(a, b, metrics.W2).cost == 1.0
+    assert metrics.empirical_wasserstein(a, b, metrics.W1).cost == 1.0
+
+
+def test_shared_and_duplicate_rows_match_brute_force():
+    rng = np.random.default_rng(6)
+    for trial in range(80):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        # few distinct values, so duplicate rows within and across clouds occur
+        a = rng.integers(-2, 3, size=(n, m)).astype(float)
+        b = rng.integers(-2, 3, size=(n, m)).astype(float)
+        if trial % 2:
+            # down to near-equal rows, which must not count as shared
+            scale = 10.0 ** rng.uniform(-9, -1)
+            a += scale * rng.standard_normal((n, m))
+            b += scale * rng.standard_normal((n, m))
+        shared = rng.random(n) < rng.random()
+        b[shared] = a[shared]
+        dup = rng.integers(0, n, size=2)
+        a[dup[0]] = a[dup[1]]
+        for metric, squared in ((metrics.W1, False), (metrics.W2, True)):
+            plan = metrics.empirical_wasserstein(a, b, metric)
+            assert sorted(plan.assignment) == list(range(n))
+            assert abs(plan.cost - brute_force_w(a, b, squared)) <= 1e-12, (trial, metric)
+
+
+def _equivalence_clouds(rng, kind, n, m):
+    a = rng.standard_normal((n, m))
+    if kind == "identical":
+        return a, a.copy()
+    b = a + 0.05 * rng.standard_normal((n, m))
+    if kind == "shared":
+        # all but 3% of the rows equal, as in a selector push
+        keep = rng.random(n) < 0.97
+        b[keep] = a[keep]
+    return a, b
+
+
+@pytest.mark.parametrize("n", [64, 200, 512])
+@pytest.mark.parametrize("kind", ["perturbed", "shared", "identical"])
+def test_matches_unreduced_scipy_solve(n, kind):
+    rng = np.random.default_rng(n)
+    a, b = _equivalence_clouds(rng, kind, n, 2 if kind == "perturbed" else 16)
+    a_before, b_before = a.copy(), b.copy()
+    for metric, squared in ((metrics.W1, False), (metrics.W2, True)):
+        cost = metrics.empirical_wasserstein(a, b, metric).cost
+        if kind == "identical":
+            assert cost == 0.0
+        want = unreduced_scipy_w(a, b, squared)
+        assert abs(cost - want) <= 1e-12 * want
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
 
 def test_assignment_is_bijection_and_beats_identity():
@@ -68,6 +141,20 @@ def test_triangle_inequality_w1():
     bc = metrics.empirical_wasserstein(b, c, metrics.W1).cost
     ac = metrics.empirical_wasserstein(a, c, metrics.W1).cost
     assert ac <= ab + bc + 1e-9
+
+
+def test_cost_matrix_reduced_in_place():
+    # one n x n matrix at a time: a reduced copy would double the peak
+    rng = np.random.default_rng(7)
+    n = 512
+    a, b = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+    tracemalloc.start()
+    try:
+        metrics.empirical_wasserstein(a, b, metrics.W2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n * n * 8 <= peak < 1.5 * n * n * 8
 
 
 def test_size_mismatch_rejected():
