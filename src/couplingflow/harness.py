@@ -415,9 +415,12 @@ def _run_separation(params, seed):
     return {"report": ("report.json", report)}
 
 
-def _training_outputs(prefix, jsonl_text, summary):
-    """The records/summary pair every training subcommand writes."""
-    return {"records": (f"{prefix}_records.jsonl", jsonl_text),
+def _training_outputs(prefix, runs, summary):
+    """The records/summary pair every training subcommand writes from its
+    (record, meta) runs; the summary's ``notes`` lists every record's notes
+    in record order."""
+    summary["notes"] = [note for record, _ in runs for note in record.notes]
+    return {"records": (f"{prefix}_records.jsonl", "".join(record_jsonl(*run) for run in runs)),
             "summary": (f"{prefix}_summary.json", summary)}
 
 
@@ -426,21 +429,20 @@ def _run_train_pln(params, seed):
                                  batch_size=params["batch_size"])
     d = params["d"]
     layer_counts = _layer_counts(params["layers"])
-    texts = []
+    runs = []
     summary = {}
     for n_layers in layer_counts:
         finals = []
         for s in range(params["seeds"]):
             target = trainer.make_target_matrix(params["target"] + "_matrix", d, seed + s)
             record = trainer.train_pln(config, d, n_layers, seed + s, target)
-            meta = {"experiment": "train-pln", "d": d, "variant": n_layers}
-            texts.append(record_jsonl(record, meta))
+            runs.append((record, {"experiment": "train-pln", "d": d, "variant": n_layers}))
             finals.append(record.final["frobenius_error"])
         summary[str(n_layers)] = {
             "median_frobenius_error": float(np.median(finals)),
             "finals": finals,
         }
-    return _training_outputs("pln", "".join(texts), summary)
+    return _training_outputs("pln", runs, summary)
 
 
 def _run_train_reg(params, seed):
@@ -452,7 +454,7 @@ def _run_train_reg(params, seed):
     record = trainer.train_coupling_regression(config, params["d"], target, arch, seed)
     meta = {"experiment": "train-reg", "d": params["d"],
             "variant": f"{params['target']}/{params['arch']}"}
-    return _training_outputs("reg", record_jsonl(record, meta), {"final": record.final})
+    return _training_outputs("reg", [(record, meta)], {"final": record.final})
 
 
 def _run_train_mle(params, seed):
@@ -461,8 +463,7 @@ def _run_train_mle(params, seed):
     record = trainer.train_nvp_mle(params["dataset"], params["padding"], config, seed)
     meta = {"experiment": "train-mle", "d": 2 if params["padding"] == "none" else 4,
             "variant": f"{params['dataset']}/{params['padding']}"}
-    return _training_outputs("mle", record_jsonl(record, meta),
-                             {"final": record.final, "notes": record.notes})
+    return _training_outputs("mle", [(record, meta)], {"final": record.final})
 
 
 def _run_plot_data(params, seed):

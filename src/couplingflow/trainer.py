@@ -11,6 +11,13 @@ All gradients are computed by hand-written reverse accumulation over the
 fixed layer shapes and are checked against central finite differences in
 the test suite. Diagonal blocks and actnorm scales are stored as logs and
 exponentiated, which keeps them strictly positive without projections.
+
+Each trainer writes its own forward pass, backward pass, update and data
+streams into one loop shape, and leaves the bookkeeping to ``_Monitor``:
+the non-finite check, the log cadence, the ``<objective>_batch_max``
+column, the final row and the warning when the final value is above the
+first logged one hold the same way for every record. Adam's arithmetic is
+one function, ``_adam_step``, under both optimizer classes.
 """
 
 import math
@@ -57,6 +64,22 @@ class RunRecord:
 # Adam
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
+def _adam_step(step: int, lr: float, slots):
+    """Adam's moment and bias-correction arithmetic for step number ``step``
+    over (param, grad, m, v) array quadruples, each updated in place."""
+    bc1 = 1.0 - BETA1**step
+    bc2 = 1.0 - BETA2**step
+    for p, g, m, v in slots:
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= (lr / bc1) * m / (np.sqrt(v / bc2) + EPS)
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators over a flat parameter vector."""
@@ -65,9 +88,6 @@ class AdamState:
     v: np.ndarray
     lr: float
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float):
@@ -75,13 +95,7 @@ class AdamState:
 
     def update(self, params: np.ndarray, grad: np.ndarray):
         self.step += 1
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        bc1 = 1.0 - self.beta1**self.step
-        bc2 = 1.0 - self.beta2**self.step
-        params -= (self.lr / bc1) * self.m / (np.sqrt(self.v / bc2) + self.eps)
+        _adam_step(self.step, self.lr, [(params, grad, self.m, self.v)])
 
 
 class AdamList:
@@ -93,18 +107,55 @@ class AdamList:
         self.v = [np.zeros_like(p) for p in params]
         self.lr = lr
         self.step = 0
-        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
 
     def update(self, grads: list):
         self.step += 1
-        bc1 = 1.0 - self.beta1**self.step
-        bc2 = 1.0 - self.beta2**self.step
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+        _adam_step(self.step, self.lr, zip(self.params, grads, self.m, self.v))
+
+
+# ---------------------------------------------------------------------------
+# the training loop's bookkeeping
+
+
+class _Monitor:
+    """What every trainer's loop records, and when a run counts as diverged
+    or spiked. The trainer calls ``see`` once per step, after its forward
+    pass and before its update, and ``close`` once after the last step.
+
+    Each row holds the objective ``name``, ``<name>_batch_max`` (the largest
+    training-batch value since the previous row) and the trainer's own
+    columns, which may replace the logged objective (the MLE logs its
+    eval-batch NLL). The final row's window always holds the last step, even
+    when that step was logged. A non-finite value raises DivergedRunError
+    with the rows logged so far; a final value above the first logged one
+    adds a warning to the record's notes."""
+
+    def __init__(self, config: TrainConfig, name: str, record: RunRecord):
+        self.config, self.name, self.record = config, name, record
+        self.batch_max = self.last = -np.inf  # window maximum; last step's value
+
+    def see(self, step: int, value: float, columns=dict):
+        """Check one step's training-batch value; at a log point write a row
+        with the columns ``columns()`` returns."""
+        if not math.isfinite(value):
+            raise DivergedRunError(f"{self.name} diverged at step {step}", self.record)
+        self.last = value
+        self.batch_max = max(self.batch_max, value)
+        if step % self.config.log_interval == 0:
+            self.record.log(step, **{self.name: value, f"{self.name}_batch_max": self.batch_max,
+                                     **columns()})
+            self.batch_max = -np.inf
+
+    def close(self, **columns):
+        """Write the final row at step ``config.steps``; ``columns`` holds
+        the final objective value under ``name``."""
+        final, first = columns[self.name], self.record.metrics[self.name][0]
+        self.record.log(self.config.steps, **{self.name: final, f"{self.name}_batch_max":
+                                              max(self.batch_max, self.last), **columns})
+        if final > first:
+            self.record.notes.append(
+                f"warning: final {self.name} {final:.4g} is above the first logged "
+                f"{first:.4g}; {self.name}_batch_max shows where it rose")
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +288,7 @@ def train_pln(config: TrainConfig, d: int, n_layers: int, seed: int,
     adam = AdamState.for_params(model.params, config.lr)
     batches = stream(seed, "pln-batches", d, n_layers)
     record = RunRecord(seed=seed)
+    monitor = _Monitor(config, "loss", record)
 
     def frob_err():
         return float(np.sum((model.as_matrix() - target) ** 2)) / d**2
@@ -249,16 +301,13 @@ def train_pln(config: TrainConfig, d: int, n_layers: int, seed: int,
         z = np.linalg.qr(z, mode="r")
         out, caches = model.forward(z)
         resid = out - z @ target.T
-        loss = float(np.sum(resid * resid)) / (config.batch_size * d)
-        if not np.isfinite(loss):
-            raise DivergedRunError(f"loss diverged at step {step}", record)
-        if step % config.log_interval == 0:
-            record.log(step, loss=loss, frobenius_error=frob_err())
+        monitor.see(step, float(np.sum(resid * resid)) / (config.batch_size * d),
+                    lambda: {"frobenius_error": frob_err()})
         model.backward(2.0 * resid / (config.batch_size * d), caches)
         adam.update(model.params, model.grad)
     final_err = frob_err()
-    record.log(config.steps, loss=pln_loss(model, batches.standard_normal((config.batch_size, d)), target),
-               frobenius_error=final_err)
+    monitor.close(loss=pln_loss(model, batches.standard_normal((config.batch_size, d)), target),
+                  frobenius_error=final_err)
     record.final = {"loss": record.metrics["loss"][-1], "frobenius_error": final_err,
                     "recovered_matrix": model.as_matrix().tolist()}
     return record
@@ -380,23 +429,20 @@ def train_coupling_regression(config: TrainConfig, d: int, target: str,
         raise ValueError(f"unknown architecture {architecture!r}")
 
     adam = AdamList(params, config.lr)
+    monitor = _Monitor(config, "loss", record)
     for step in range(config.steps):
         z = batches.standard_normal((config.batch_size, d))
         y = _regression_target(target, z, lin)
         out, cache = forward(z)
         resid = out - y
-        loss = float(np.mean(np.sum(resid * resid, axis=1)) / d)
-        if not np.isfinite(loss):
-            raise DivergedRunError(f"loss diverged at step {step}", record)
-        if step % config.log_interval == 0:
-            record.log(step, loss=loss)
+        monitor.see(step, float(np.mean(np.sum(resid * resid, axis=1)) / d))
         adam.update(backward(cache, 2.0 * resid / (config.batch_size * d)))
 
     z = batches.standard_normal((1024, d))
     y = _regression_target(target, z, lin)
     out = evaluate(z)
     final_loss = float(np.mean(np.sum((out - y) ** 2, axis=1)) / d)
-    record.log(config.steps, loss=final_loss)
+    monitor.close(loss=final_loss)
     record.final = {"loss": final_loss}
     return record
 
@@ -478,66 +524,54 @@ def _nll(y: np.ndarray, logdet: np.ndarray) -> float:
     return float(np.mean(0.5 * np.sum(y * y, axis=1) - logdet) + 0.5 * dim * math.log(2.0 * math.pi))
 
 
-def train_nvp_mle(dataset: str, padding: str, config: TrainConfig, seed: int,
-                  n_pairs: int = 3, hidden: int = 128,
-                  probe_size: int = 64) -> RunRecord:
+MLE_PAIRS = 3  # lower/upper layer pairs of the MLE coupling stack
+MLE_HIDDEN = 128  # hidden width of its nets
+MLE_PROBE = 64  # rows of the fixed batch its Jacobian condition is probed on
+
+
+def train_nvp_mle(dataset: str, padding: str, config: TrainConfig, seed: int) -> RunRecord:
     """Max-likelihood training of a nonlinear coupling stack (normalizing
     direction) with the chosen padding.
 
     Each training step runs ``_stack_forward``, which keeps the backward
     caches. At each log point the record holds the eval-batch NLL, computed
     by ``coupling.apply_with_log_det`` with no cache, ``nll_batch_max``
-    (the largest training-batch NLL since the previous log point) and the
-    median and max log10 condition number of the Jacobian over a fixed probe
-    batch. One probe is one ``coupling.jacobian`` call on the whole batch and
-    one stacked ``matcore.condition_number``. A final eval NLL above the
-    first logged one adds a warning to ``record.notes``."""
+    (the largest training-batch NLL since the previous log point, as in
+    every record) and the median and max log10 condition number of the
+    Jacobian over a fixed probe batch. One probe is one ``coupling.jacobian``
+    call on the whole batch and one stacked ``matcore.condition_number``. A
+    final eval NLL above the first logged one adds a warning to
+    ``record.notes``."""
     dim = 2 if padding == "none" else 4
-    layers = _coupling_stack(dim, n_pairs, hidden, activation="relu", seed=seed)
+    layers = _coupling_stack(dim, MLE_PAIRS, MLE_HIDDEN, activation="relu", seed=seed)
     params = _stack_params(layers)
     adam = AdamList(params, config.lr)
     record = RunRecord(seed=seed)
+    monitor = _Monitor(config, "nll", record)
     if padding == "zero":
         record.notes.append(f"zero padding dequantized with noise {DEQUANT_NOISE:g}")
 
     data_rng = stream(seed, "mle-data", dataset, padding)
-    probe = _padded_batch(dataset, padding, probe_size, stream(seed, "mle-probe", dataset, padding))
+    probe = _padded_batch(dataset, padding, MLE_PROBE, stream(seed, "mle-probe", dataset, padding))
     eval_batch = _padded_batch(dataset, padding, 512, stream(seed, "mle-eval", dataset, padding))
     seq = coupling.sequence(layers, ambient_dim=dim)
 
-    def probe_condition():
+    def evaluate():
+        ey, elogdet = coupling.apply_with_log_det(seq, eval_batch)
         log_conds = np.log10(matcore.condition_number(coupling.jacobian(seq, probe)))
-        return float(np.median(log_conds)), float(np.max(log_conds))
+        return {"nll": _nll(ey, elogdet), "cond_log10_median": float(np.median(log_conds)),
+                "cond_log10_max": float(np.max(log_conds))}
 
-    batch_max = -np.inf  # largest training-batch NLL since the last log point
     for step in range(config.steps):
         x = _padded_batch(dataset, padding, config.batch_size, data_rng)
         y, caches, logdet = _stack_forward(layers, x)
-        nll = _nll(y, logdet)
-        if not np.isfinite(nll):
-            raise DivergedRunError(f"NLL diverged at step {step}", record)
-        batch_max = max(batch_max, nll)
-        if step % config.log_interval == 0:
-            ey, elogdet = coupling.apply_with_log_det(seq, eval_batch)
-            cond_med, cond_max = probe_condition()
-            record.log(step, nll=_nll(ey, elogdet), nll_batch_max=batch_max,
-                       cond_log10_median=cond_med, cond_log10_max=cond_max)
-            batch_max = -np.inf
+        monitor.see(step, _nll(y, logdet), evaluate)
         dy = y / config.batch_size
         grads = _stack_backward(layers, caches, dy, logdet_coeff=-1.0 / config.batch_size)
         adam.update(grads)
 
-    ey, elogdet = coupling.apply_with_log_det(seq, eval_batch)
-    cond_med, cond_max = probe_condition()
-    final_nll = _nll(ey, elogdet)
-    # the final window always holds the last step, even if it was logged
-    record.log(config.steps, nll=final_nll, nll_batch_max=max(batch_max, nll),
-               cond_log10_median=cond_med, cond_log10_max=cond_max)
-    record.final = {"nll": final_nll, "cond_log10_median": cond_med, "cond_log10_max": cond_max}
-    first_nll = record.metrics["nll"][0]
-    if final_nll > first_nll:
-        record.notes.append(f"warning: final eval NLL {final_nll:.4g} is above the first "
-                            f"logged {first_nll:.4g}; nll_batch_max shows where it rose")
+    record.final = evaluate()
+    monitor.close(**record.final)
     return record
 
 
@@ -545,8 +579,11 @@ def train_nvp_mle(dataset: str, padding: str, config: TrainConfig, seed: int,
 # MLE consistency on Gaussian data
 
 
+MLE_CHECK_LAYERS = 4  # layers of the linear stack the consistency check fits
+
+
 def mle_linear_gaussian_check(sigma, n_samples: int, config: TrainConfig = None,
-                              seed: int = 0, n_layers: int = 4):
+                              seed: int = 0):
     """Train a linear coupling stack by MLE on N(0, sigma) draws and compare
     the fitted covariance (from the recovered matrix) to the sample
     covariance. Returns (fitted_cov, sample_cov, relative_gap)."""
@@ -561,20 +598,17 @@ def mle_linear_gaussian_check(sigma, n_samples: int, config: TrainConfig = None,
     data = rng.standard_normal((n_samples, dim)) @ chol.T
     sample_cov = data.T @ data / n_samples
 
-    model = PlnModel(dim, n_layers, PLN_INIT_STD, seed)
+    model = PlnModel(dim, MLE_CHECK_LAYERS, PLN_INIT_STD, seed)
     adam = AdamState.for_params(model.params, config.lr)
     batches = stream(seed, "mle-gaussian-batches", dim)
-    record = RunRecord(seed=seed)
+    # the record only travels with a DivergedRunError: no final row
+    monitor = _Monitor(config, "nll", RunRecord(seed=seed))
     for step in range(config.steps):
         idx = batches.integers(0, n_samples, size=config.batch_size)
         x = data[idx]
         y, caches = model.forward(x)
-        nll = float(np.mean(0.5 * np.sum(y * y, axis=1)) - model.log_det()
-                    + 0.5 * dim * math.log(2.0 * math.pi))
-        if not np.isfinite(nll):
-            raise DivergedRunError(f"NLL diverged at step {step}", record)
-        if step % config.log_interval == 0:
-            record.log(step, nll=nll)
+        monitor.see(step, float(np.mean(0.5 * np.sum(y * y, axis=1)) - model.log_det()
+                                + 0.5 * dim * math.log(2.0 * math.pi)))
         model.backward(y / config.batch_size, caches, logdet_coeff=-1.0)
         adam.update(model.params, model.grad)
 

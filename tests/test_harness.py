@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from couplingflow import coupling, decomposer, harness, matcore
+from couplingflow import coupling, decomposer, harness, matcore, trainer
 from couplingflow import separation as sep
 from couplingflow.harness import ConfigError, ExperimentConfig
 
@@ -327,7 +327,7 @@ def test_train_pln_cli_smoke(tmp_path):
                          "--layers", "1,2", "--seeds", "2", "--steps", "120"])
     assert code == 0
     summary = json.loads((outdir / "pln_summary.json").read_text())
-    assert set(summary) == {"1", "2"}
+    assert set(summary) == {"1", "2", "notes"}
     assert len(summary["1"]["finals"]) == 2
     lines = (outdir / "pln_records.jsonl").read_text().splitlines()
     rows = [json.loads(line) for line in lines]
@@ -424,6 +424,29 @@ def test_train_reg_cli_smoke(tmp_path):
     assert code == 0
     summary = json.loads((outdir / "reg_summary.json").read_text())
     assert np.isfinite(summary["final"]["loss"])
+
+
+@pytest.mark.parametrize("args, run", [
+    # one step on d = 4: the loss on the final batch is above the step-0
+    # loss for seeds 0 and 1 of train_pln
+    (["train-pln", "--d", "4", "--layers", "1", "--seeds", "2", "--steps", "1"],
+     lambda: [trainer.train_pln(trainer.TrainConfig(lr=1e-4, steps=1), 4, 1, s,
+                                trainer.make_target_matrix("gaussian_matrix", 4, s))
+              for s in (0, 1)]),
+    # at lr 1 the MLP's final loss is over a hundred times its first
+    (["train-reg", "--d", "4", "--arch", "mlp", "--lr", "1", "--steps", "10"],
+     lambda: [trainer.train_coupling_regression(
+         trainer.TrainConfig(lr=1.0, steps=10, batch_size=128), 4, "elementwise_tanh",
+         "small_mlp", 0)]),
+])
+def test_training_summary_holds_every_record_notes(tmp_path, args, run):
+    outdir = tmp_path / "out"
+    assert harness.main(["--out", str(outdir)] + args) == 0
+    prefix = args[0].split("-")[1]
+    notes = json.loads((outdir / f"{prefix}_summary.json").read_text())["notes"]
+    records = run()
+    assert notes == [note for record in records for note in record.notes]
+    assert len(notes) == len(records) and all(n.startswith("warning: final loss") for n in notes)
 
 
 def test_train_mle_cli_smoke(tmp_path):

@@ -2,11 +2,13 @@
 
 ``perfbench/tracing.py`` wraps named functions and methods of the package
 and ``perfbench/workloads.py::StepClock`` wraps both Adam ``update``
-methods. A refactor that renames or moves one of them breaks tracing, so
-this file loads the tracer by path and checks that it installs, counts
-and restores. It also loads ``perfbench/checks.py`` and runs the
-benchmark's decomposition and permutation checkers on fresh outputs, so a
-change the benchmark would refuse fails here first.
+methods, counting one call per optimizer step. A refactor that renames or
+moves one of them breaks tracing, so this file loads the tracer by path
+and checks that it installs, counts and restores, and that every trainer
+calls an ``update`` exactly once per step. It also loads
+``perfbench/checks.py`` and runs the benchmark's decomposition and
+permutation checkers on fresh outputs, so a change the benchmark would
+refuse fails here first.
 """
 
 import importlib.util
@@ -27,6 +29,7 @@ from couplingflow import (  # noqa: F401
     trainer,
     universal,
 )
+from test_trainer import TRAINERS, small_nets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,6 +75,21 @@ def test_step_clock_finds_both_adam_updates():
     # StepClock reads cls.__dict__["update"] on both optimizer classes
     assert "update" in trainer.AdamState.__dict__
     assert "update" in trainer.AdamList.__dict__
+
+
+@pytest.mark.parametrize("name", TRAINERS)
+def test_step_clock_sees_one_update_per_step(name, monkeypatch):
+    # StepClock's wrapping: each class's own update, taken from its __dict__;
+    # a training job of n steps must mark exactly n optimizer steps
+    small_nets(monkeypatch)
+    calls = []
+    for cls in (trainer.AdamState, trainer.AdamList):
+        def update(*args, _original=cls.__dict__["update"], **kwargs):
+            _original(*args, **kwargs)
+            calls.append(None)
+        monkeypatch.setattr(cls, "update", update)
+    TRAINERS[name](trainer.TrainConfig(lr=1e-3, steps=7, batch_size=16, log_interval=3))
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

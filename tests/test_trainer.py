@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -178,13 +179,66 @@ def test_train_pln_loss_moving_median_non_increasing():
     assert np.all(diffs <= 1e-8 + 0.05 * np.abs(np.array(medians[:-1])))
 
 
-def test_train_pln_divergence_detection():
-    config = tr.TrainConfig(lr=1e30, steps=200, batch_size=16)
+def _nan_from_call(fn, k):
+    """fn, except that every call after the k-th returns NaNs."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        out = fn(*args)
+        return out * np.nan if len(calls) > k else out
+    return wrapped
+
+
+def small_nets(monkeypatch):
+    """The regression and MLE stacks at one layer pair of width 16."""
+    for name, value in (("REGRESSION_PAIRS", 1), ("REGRESSION_HIDDEN", 16),
+                        ("MLE_PAIRS", 1), ("MLE_HIDDEN", 16)):
+        monkeypatch.setattr(tr, name, value)
+
+
+# each trainer by name on a d = 4 problem, run under the given TrainConfig
+TRAINERS = {
+    "pln": lambda cfg: tr.train_pln(cfg, 4, 2, 0, tr.make_target_matrix("gaussian_matrix", 4, 0)),
+    "reg.coupling": lambda cfg: tr.train_coupling_regression(cfg, 4, "elementwise_tanh",
+                                                             "coupling_stack", 0),
+    "reg.mlp": lambda cfg: tr.train_coupling_regression(cfg, 4, "elementwise_tanh",
+                                                        "small_mlp", 0),
+    "mle": lambda cfg: tr.train_nvp_mle("four_gaussians", "gaussian", cfg, 0),
+    "gaussian_check": lambda cfg: tr.mle_linear_gaussian_check(np.eye(4), 500, cfg, 0),
+}
+
+
+@pytest.mark.parametrize("name", TRAINERS)
+def test_trainer_divergence_detection(name, monkeypatch):
+    # lr 1e30 overflows the PLN and MLE losses within a step; the regression
+    # nets' outputs stay finite under any weights, so they get a NaN batch
+    # from step 3 on
+    small_nets(monkeypatch)
+    lr = 1e30
+    if name.startswith("reg"):
+        monkeypatch.setattr(tr, "_regression_target", _nan_from_call(tr._regression_target, 3))
+        lr = 1e-3
+    config = tr.TrainConfig(lr=lr, steps=50, batch_size=16, log_interval=1)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(DivergedRunError) as exc_info:
-            tr.train_pln(config, d=4, n_layers=2, seed=0,
-                         target_matrix=tr.make_target_matrix("gaussian_matrix", 4, seed=0))
-    assert exc_info.value.record is not None
+            TRAINERS[name](config)
+    step = int(re.fullmatch(r"(loss|nll) diverged at step (\d+)", str(exc_info.value))[2])
+    assert step == 3 if name.startswith("reg") else step >= 1
+    # every step before the failing one was logged, and nothing after it
+    assert exc_info.value.record.metrics["step"] == list(range(step))
+
+
+@pytest.mark.parametrize("name", ["pln", "reg.coupling", "reg.mlp"])
+def test_loss_batch_max_at_every_step(name, monkeypatch):
+    # logged every step, each window holds one step; the final one holds the
+    # last step again, as it does whenever that step was logged
+    small_nets(monkeypatch)
+    record = TRAINERS[name](tr.TrainConfig(lr=1e-3, steps=6, batch_size=16, log_interval=1))
+    loss, batch_max = record.metrics["loss"], record.metrics["loss_batch_max"]
+    assert record.metrics["step"] == list(range(7))
+    assert batch_max[:-1] == loss[:-1]
+    assert batch_max[-1] == loss[-2]
 
 
 def test_pln_batch_enters_only_through_gram():
@@ -357,29 +411,35 @@ def test_dataset_rejects_unknown():
 # MLE harnesses (smoke scale; acceptance runs the full criteria)
 
 
-def test_nvp_mle_gaussian_sanity_short():
+@pytest.fixture
+def mle_net(monkeypatch):
+    """The MLE stack at two layer pairs of width 32, about a tenth of the
+    default stack's step time."""
+    monkeypatch.setattr(tr, "MLE_PAIRS", 2)
+    monkeypatch.setattr(tr, "MLE_HIDDEN", 32)
+
+
+def test_nvp_mle_gaussian_sanity_short(mle_net):
     config = tr.TrainConfig(lr=1e-3, steps=400, batch_size=128, log_interval=200)
-    record = tr.train_nvp_mle("gaussian", "none", config, seed=21, n_pairs=2, hidden=32)
+    record = tr.train_nvp_mle("gaussian", "none", config, seed=21)
     # near-identity init starts close to the true entropy and stays finite
     assert abs(record.final["nll"] - GAUSSIAN_ENTROPY_2D) <= 0.5
 
 
-def test_nvp_mle_records_condition_numbers():
+def test_nvp_mle_records_condition_numbers(mle_net):
     config = tr.TrainConfig(lr=1e-3, steps=200, batch_size=64, log_interval=100)
-    record = tr.train_nvp_mle("four_gaussians", "gaussian", config, seed=22,
-                              n_pairs=2, hidden=32)
+    record = tr.train_nvp_mle("four_gaussians", "gaussian", config, seed=22)
     assert "cond_log10_median" in record.metrics
     assert all(np.isfinite(v) for v in record.metrics["cond_log10_median"])
 
 
-def test_nvp_mle_zero_padding_notes_dequantization():
+def test_nvp_mle_zero_padding_notes_dequantization(mle_net):
     config = tr.TrainConfig(lr=1e-3, steps=100, batch_size=64, log_interval=100)
-    record = tr.train_nvp_mle("four_gaussians", "zero", config, seed=23,
-                              n_pairs=2, hidden=32)
+    record = tr.train_nvp_mle("four_gaussians", "zero", config, seed=23)
     assert any("dequantized" in note for note in record.notes)
 
 
-def test_nvp_mle_one_jacobian_and_one_svd_per_probe(monkeypatch):
+def test_nvp_mle_one_jacobian_and_one_svd_per_probe(monkeypatch, mle_net):
     # one batched Jacobian and one stacked SVD per probe, not one per probe row
     calls = {"jacobian": 0, "svd_small": 0}
     for module, name in ((cp, "jacobian"), (mc, "svd_small")):
@@ -388,7 +448,7 @@ def test_nvp_mle_one_jacobian_and_one_svd_per_probe(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(module, name, counting)
     config = tr.TrainConfig(lr=1e-3, steps=50, batch_size=64, log_interval=25)
-    tr.train_nvp_mle("four_gaussians", "zero", config, seed=28, n_pairs=2, hidden=32)
+    tr.train_nvp_mle("four_gaussians", "zero", config, seed=28)
     assert calls == {"jacobian": 3, "svd_small": 3}  # steps 0 and 25, and the final
 
 
@@ -399,16 +459,17 @@ def test_nvp_mle_records_spike_above_start():
     nll, batch_max = record.metrics["nll"], record.metrics["nll_batch_max"]
     assert len(batch_max) == len(nll) == 5
     assert record.final["nll"] > nll[0]
-    assert any(note.startswith("warning: final eval NLL") for note in record.notes)
+    assert any(note.startswith("warning: final nll") for note in record.notes)
     # the last interval's training batches already show the rise
     assert batch_max[-1] > max(batch_max[2:-1]) + 10.0
 
 
-def test_nvp_mle_log_every_step_with_large_probe():
+def test_nvp_mle_log_every_step_with_large_probe(monkeypatch):
     # the probe is one stacked SVD over all its rows, however many
+    small_nets(monkeypatch)
+    monkeypatch.setattr(tr, "MLE_PROBE", 128)
     config = tr.TrainConfig(lr=1e-3, steps=2, batch_size=32, log_interval=1)
-    record = tr.train_nvp_mle("four_gaussians", "gaussian", config, seed=29,
-                              n_pairs=1, hidden=16, probe_size=128)
+    record = tr.train_nvp_mle("four_gaussians", "gaussian", config, seed=29)
     assert all(np.isfinite(v) for v in record.metrics["cond_log10_max"])
     # logs at steps 0, 1 and 2; the final one runs no step and repeats step 1's batch
     batch_max = record.metrics["nll_batch_max"]
