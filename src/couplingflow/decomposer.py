@@ -226,32 +226,15 @@ def permutation_layers(p) -> LayerSequence:
 # block-diagonal construction
 
 
-def _is_lower(a):
-    """True for a lower-triangular (or diagonal) matrix, False for an
-    upper-triangular one; ValueError for any other."""
-    if not np.any(np.triu(a, 1)):
-        return True
-    if not np.any(np.tril(a, -1)):
-        return False
-    raise ValueError("matrix is neither lower nor upper triangular")
-
-
-def _eigvec_matrix(a, lower, min_gap):
-    """Unit-norm eigenvector matrix of triangular ``a`` (``lower`` or
-    upper), columns in ascending order of the diagonal."""
-    v = matcore.triangular_eigvecs(a, min_gap=min_gap, upper=not lower)
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    return v[:, np.argsort(np.diag(a))]
-
-
 def block_diag_layers(m, s, min_gap: float = 1e-8) -> LayerSequence:
     """Four coupling matrices whose product is blockdiag(m, s).
 
-    Requires ``m`` and ``s`` triangular (each lower or upper), ``m`` with
-    distinct nonzero diagonal entries and ``s`` with their inverses on its
-    diagonal, so both spectra are read off the diagonals. With
+    Requires ``m`` and ``s`` triangular (each may be lower or upper), ``m``
+    with distinct nonzero diagonal entries and ``s`` with their inverses on
+    its diagonal, so both spectra are read off the diagonals. The
     eigendecompositions s = U X U^{-1} and m^{-1} = V X V^{-1} (same
-    diagonal X), the product
+    diagonal X, ascending) take U and V from ``matcore.triangular_eigvecs``
+    (LAPACK geev), and the product
 
         [I 0; A I][I D; 0 I][I 0; E I][I H; 0 I]
 
@@ -263,7 +246,11 @@ def block_diag_layers(m, s, min_gap: float = 1e-8) -> LayerSequence:
     n = m.shape[0]
     if m.shape != s.shape or m.shape[0] != m.shape[1]:
         raise ValueError("m and s must be square with equal shape")
-    m_lower, s_lower = _is_lower(m), _is_lower(s)
+    for name, blk in (("m", m), ("s", s)):
+        try:
+            matcore.is_lower_triangular(blk)
+        except ValueError:
+            raise ValueError(f"{name} is neither lower nor upper triangular") from None
 
     lam = np.sort(np.diag(m))
     radius = matcore.spectral_radius(lam)
@@ -279,10 +266,10 @@ def block_diag_layers(m, s, min_gap: float = 1e-8) -> LayerSequence:
     if np.max(np.abs(np.sort(np.diag(s)) - target)) > 1e-6 * max(1.0, np.max(np.abs(target))):
         raise ValueError("s does not carry the eigenvalues of m^{-1}")
 
-    m_inv = matcore.triangular_inverse(m, lower=m_lower)
+    m_inv = matcore.triangular_inverse(m)
     gap_floor = min(min_gap, 0.5 * float(np.min(np.diff(target))) if n > 1 else min_gap)
-    v = _eigvec_matrix(m_inv, m_lower, gap_floor)
-    u = _eigvec_matrix(s, s_lower, gap_floor)
+    v = matcore.triangular_eigvecs(m_inv, min_gap=gap_floor)
+    u = matcore.triangular_eigvecs(s, min_gap=gap_floor)
     # E = -U V^{-1} m is singular exactly when an eigenvector matrix is
     try:
         a_blk = u @ matcore.inv(v)
@@ -410,7 +397,7 @@ def triangular_layers(tri, side: str = LOWER):
     elim_layers = []
     g0 = tri
     if np.any(off):
-        x = matcore.triangular_solve(tri[upd, upd], off, lower=side == LOWER)
+        x = matcore.triangular_solve(tri[upd, upd], off)
         elim_layers = [LinearCouplingLayer(side=side, dense=x, diag=ones.copy())]
         g0 = tri.copy()
         g0[upd, kept] = 0.0

@@ -6,8 +6,10 @@ i.e. the matrix ``P`` with ``P[p[i], i] = 1`` sends basis vector ``e_i``
 to ``e_p[i]``.
 
 Everything here is a pure function; no state is shared between calls.
-The LU factorization, eigenvalues and singular values run in LAPACK
-(getrf, geev, gesdd) and the triangular solves in BLAS (trsm).
+The LU factorization, eigenvalues, triangular eigenvectors and singular
+values run in LAPACK (getrf, geev, gesdd) and the triangular solves in
+BLAS (trsm). A triangular kernel reads from its matrix whether it is lower
+or upper triangular and refuses one that is neither.
 """
 
 from dataclasses import dataclass
@@ -151,11 +153,22 @@ def inv(a) -> np.ndarray:
     return solve(a, np.eye(n))
 
 
-def triangular_solve(t, b, lower: bool = True) -> np.ndarray:
-    """Solve t @ x = b for triangular t; only the ``lower`` (or upper)
-    triangle of t is read. Raises SingularMatrixError when a diagonal entry
-    falls below SINGULAR_RTOL * max|t|."""
+def is_lower_triangular(a) -> bool:
+    """True for a lower-triangular (or diagonal) matrix, False for an
+    upper-triangular one; ValueError for any other."""
+    if not np.any(np.triu(a, 1)):
+        return True
+    if not np.any(np.tril(a, -1)):
+        return False
+    raise ValueError("matrix is neither lower nor upper triangular")
+
+
+def triangular_solve(t, b) -> np.ndarray:
+    """Solve t @ x = b for a lower or upper triangular t, whichever t is.
+    Raises SingularMatrixError when a diagonal entry falls below
+    SINGULAR_RTOL * max|t|."""
     t = as_matrix_array(t)
+    lower = is_lower_triangular(t)
     if np.any(np.abs(np.diag(t)) <= SINGULAR_RTOL * np.max(np.abs(t), initial=0.0)):
         raise SingularMatrixError("triangular matrix singular to tolerance")
     return _trsm(t, np.asarray(b, dtype=np.float64), lower=lower)
@@ -173,10 +186,10 @@ def _trsm(t, b, lower: bool, unit_diagonal: bool = False) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def triangular_inverse(t, lower: bool = True) -> np.ndarray:
-    """Inverse of a triangular matrix (see triangular_solve)."""
+def triangular_inverse(t) -> np.ndarray:
+    """Inverse of a lower or upper triangular matrix (see triangular_solve)."""
     t = as_matrix_array(t)
-    return triangular_solve(t, np.eye(t.shape[0]), lower=lower)
+    return triangular_solve(t, np.eye(t.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,39 +218,25 @@ def spectral_radius(spectrum: np.ndarray) -> float:
     return float(np.max(np.abs(spectrum))) if len(spectrum) else 0.0
 
 
-def triangular_eigvecs(a, min_gap: float = 1e-8, upper: bool = False) -> np.ndarray:
-    """Eigenvector matrix of a triangular matrix with separated diagonal.
+def triangular_eigvecs(a, min_gap: float = 1e-8) -> np.ndarray:
+    """Eigenvector matrix of a lower or upper triangular matrix whose
+    diagonal entries are pairwise at least ``min_gap`` apart.
 
-    For lower-triangular ``a`` with diagonal entries pairwise at least
-    ``min_gap`` apart, returns V with unit diagonal such that
-    a @ V = V @ diag(a_00, ..., a_nn), computed column by column with one
-    triangular solve of (a - a_ii I) v = 0 per column.
-
-    ``upper=True`` accepts an upper-triangular input: reversing the indices
-    turns it lower-triangular, and the result is reversed back.
+    Returns V with unit-norm columns in ascending order of the diagonal,
+    a @ V = V @ diag(sorted diagonal), from one LAPACK geev call.
     """
     a = as_matrix_array(a)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    if upper:
-        a = a[::-1, ::-1]
-    if np.max(np.abs(np.triu(a, 1))) > 0:
-        raise ValueError(f"matrix is not {'upper' if upper else 'lower'} triangular")
-    d = np.diag(a)
-    if n > 1:
-        diffs = np.abs(d[:, None] - d[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        gap = float(np.min(diffs))
-        if gap < min_gap:
-            raise EigGapTooSmallError(f"diagonal gap {gap:g} below {min_gap:g}")
-    v = np.eye(n)
-    for i in range(n - 1):
-        # rows below i of (a - d_i I) v = 0 with v_i = 1; the shifted
-        # diagonal d_j - d_i is at least the checked gap away from zero
-        shifted = a[i + 1 :, i + 1 :] - d[i] * np.eye(n - i - 1)
-        v[i + 1 :, i] = _trsm(shifted, -a[i + 1 :, i], lower=True)
-    return np.ascontiguousarray(v[::-1, ::-1]) if upper else v
+    is_lower_triangular(a)  # refuses a full matrix
+    gaps = np.diff(np.sort(np.diag(a)))
+    if gaps.size and np.min(gaps) < min_gap:
+        raise EigGapTooSmallError(f"diagonal gap {np.min(gaps):g} below {min_gap:g}")
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigFailedError(str(exc)) from exc
+    return vecs[:, np.argsort(vals)]
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ def empirical_wasserstein(a, b, metric=W2) -> TransportPlanResult:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"clouds must have identical (n, m) shapes, got {a.shape} vs {b.shape}")
+    if a.shape[0] == 0:
+        raise ValueError(f"clouds are empty, shape {a.shape}")
     if a.shape[0] > MAX_CLOUD:
         raise ValueError(f"cloud size {a.shape[0]} exceeds {MAX_CLOUD}")
     if metric not in (W1, W2):

@@ -230,6 +230,8 @@ def build_selector_net(mixture: MixtureSpec, delta: float) -> SelectorNet:
     Gaussian mass delta/(k-1) placed symmetrically around each threshold in
     quantile space."""
     k = mixture.k
+    if k < 2:
+        raise ValueError(f"a selector needs at least 2 components, got {k}")
     if not 0.0 < delta < 1.0 / k:
         raise ValueError("delta must lie in (0, 1/k)")
     qs = np.arange(1, k) / k

@@ -109,9 +109,18 @@ def test_empty_matrix_kernels():
 def test_triangular_inverse():
     rng = np.random.default_rng(7)
     t = np.tril(rng.standard_normal((6, 6))) + 3 * np.eye(6)
-    assert np.allclose(mc.triangular_inverse(t, lower=True) @ t, np.eye(6), atol=1e-12)
+    assert np.allclose(mc.triangular_inverse(t) @ t, np.eye(6), atol=1e-12)
     u = t.T
-    assert np.allclose(mc.triangular_inverse(u, lower=False) @ u, np.eye(6), atol=1e-12)
+    assert np.allclose(mc.triangular_inverse(u) @ u, np.eye(6), atol=1e-12)
+
+
+def test_triangular_kernels_refuse_full_matrix():
+    # reading one triangle of [[2, 5], [1, 3]] would solve a different system
+    full = np.array([[2.0, 5.0], [1.0, 3.0]])
+    for kernel in (lambda t: mc.triangular_solve(t, np.ones(2)), mc.triangular_inverse,
+                   mc.triangular_eigvecs):
+        with pytest.raises(ValueError, match="neither lower nor upper"):
+            kernel(full)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +193,13 @@ def test_eig_and_svd_have_no_size_cap():
 # triangular eigenvectors
 
 
+def assert_eigvecs(a, v):
+    """Unit-norm columns with a @ v = v @ diag(sorted diagonal) to 1e-12."""
+    assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0.0, atol=1e-14)
+    resid = np.linalg.norm(a @ v - v @ np.diag(np.sort(np.diag(a))))
+    assert resid <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(v)
+
+
 def test_triangular_eigvecs_diagonal():
     v = mc.triangular_eigvecs(np.diag([1.0, 2.0, 3.0]))
     assert np.array_equal(v, np.eye(3))
@@ -192,20 +208,18 @@ def test_triangular_eigvecs_diagonal():
 def test_triangular_eigvecs_2x2():
     a = np.array([[2.0, 0.0], [3.0, 5.0]])
     v = mc.triangular_eigvecs(a)
-    for i, lam in enumerate([2.0, 5.0]):
-        assert np.linalg.norm(a @ v[:, i] - lam * v[:, i]) <= 1e-10 * np.linalg.norm(a)
-    # direct solve of the 2x2 system: (a - 2I)v = 0 gives v = (1, -1)
-    assert np.allclose(v[:, 0], [1.0, -1.0])
+    assert_eigvecs(a, v)
+    # (a - 2I) v = 0 gives v = (1, -1), (a - 5I) v = 0 gives v = (0, 1), up to sign
+    assert abs(v[:, 0] @ [1.0, -1.0]) == pytest.approx(2**0.5, rel=1e-15)
+    assert abs(v[:, 1] @ [0.0, 1.0]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_triangular_eigvecs_random():
     rng = np.random.default_rng(11)
-    d = np.arange(8) * 0.1 + 0.5
+    d = rng.permutation(np.arange(8) * 0.1 + 0.5)
     a = np.tril(rng.standard_normal((8, 8)), -1) + np.diag(d)
     v = mc.triangular_eigvecs(a, min_gap=0.05)
-    resid = np.linalg.norm(a @ v - v @ np.diag(d)) / np.linalg.norm(a)
-    assert resid <= 1e-9
-    assert abs(mc.det(v)) > 0  # invertible (unit diagonal)
+    assert_eigvecs(a, v)
 
 
 def test_triangular_eigvecs_gap_error():
@@ -215,10 +229,9 @@ def test_triangular_eigvecs_gap_error():
 
 def test_triangular_eigvecs_upper():
     rng = np.random.default_rng(12)
-    a = np.triu(rng.standard_normal((6, 6)), 1) + np.diag([1, 2, 3, 4, 5, 6.0])
-    v = mc.triangular_eigvecs(a, upper=True)
-    resid = np.linalg.norm(a @ v - v @ np.diag(np.diag(a))) / np.linalg.norm(a)
-    assert resid <= 1e-9
+    a = np.triu(rng.standard_normal((6, 6)), 1) + np.diag([4, 2, 6, 1, 5, 3.0])
+    v = mc.triangular_eigvecs(a)
+    assert_eigvecs(a, v)
 
 
 # ---------------------------------------------------------------------------

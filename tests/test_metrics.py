@@ -162,6 +162,12 @@ def test_size_mismatch_rejected():
         metrics.empirical_wasserstein(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("metric", [metrics.W1, metrics.W2])
+def test_empty_clouds_rejected(metric):
+    with pytest.raises(ValueError, match=r"empty, shape \(0, 2\)"):
+        metrics.empirical_wasserstein(np.zeros((0, 2)), np.zeros((0, 2)), metric)
+
+
 def test_relative_frobenius():
     assert metrics.relative_frobenius(np.eye(3), np.eye(3)) == 0.0
     assert metrics.relative_frobenius(np.zeros((3, 3)), np.eye(3)) == 1.0

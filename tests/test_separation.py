@@ -99,6 +99,12 @@ def test_selector_delta_range_validation():
         sep.build_selector_net(mix, 0.0)
 
 
+def test_selector_needs_two_components():
+    mix = sep.random_mixture(1, 4, 1.0, seed=12)
+    with pytest.raises(ValueError, match="at least 2 components"):
+        sep.build_selector_net(mix, 0.5)
+
+
 def test_selector_partition_of_unity():
     mix = sep.random_mixture(8, 16, 1.0, seed=13)
     net = sep.build_selector_net(mix, sep.selector_delta(0.5, 1.0, 16, 8))
